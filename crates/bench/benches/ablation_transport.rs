@@ -1,14 +1,14 @@
 //! Ablation: the variant↔monitor transport — synchronous ports vs the
 //! asynchronous submission/completion rings, with the ring cells split by
-//! who drains them: a dedicated gateway worker per port (`PerPort`) or a
-//! fixed polling pool of 1, 2 or `THREADS` shards (`Pool(n)`).
+//! the size of the polling pool that drains them: 1, 2 or `THREADS` shards
+//! (`Pool(n)`).
 //!
 //! Every (variant, thread) pair drives the same deferrable-heavy call
 //! stream (brk/mmap/mprotect with a periodic replicated `gettimeofday`)
 //! through either a synchronous [`ThreadPort`] — each call blocks inline in
 //! the monitor pipeline — or an [`AsyncThreadPort`] — compare-only calls
 //! are deposited into the port's submission ring and their verdicts reaped
-//! in blocks while the gateway worker runs the identical pipeline in the
+//! in blocks while a polling shard runs the same pipeline in the
 //! background.  The replicated call pins both transports to the same
 //! synchronization points, so the delta isolates what the rings buy on the
 //! stretches in between.
@@ -17,12 +17,10 @@
 //! per (variants × transport) cell and writes the machine-readable
 //! `BENCH_transport.json` at the repository root (override the path with
 //! `MVEE_BENCH_JSON`); `BASELINES.md` records the same numbers.
-//! `MVEE_BENCH_VARIANTS` (default `2,8`) tunes the sweep;
-//! `MVEE_BENCH_TRANSPORTS` (comma-separated cell labels — the
-//! `Transport::label()` values plus `sync+journal`, e.g. `sync,async-pool1`)
-//! restricts which transport cells run.  The `sync+journal` cell reruns the
-//! sync transport with divergence-journal recording on, so its delta
-//! against `sync` is the journal's hot-path overhead.
+//! `MVEE_BENCH_VARIANTS` (default `2,8`) tunes the sweep.  The
+//! `sync+journal` cell reruns the sync transport with divergence-journal
+//! recording on, so its delta against `sync` is the journal's hot-path
+//! overhead.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -216,20 +214,14 @@ fn run_issue_timed(variants: usize, cell: Cell) -> (u64, u128) {
 }
 
 /// The measurement cells: sync, sync with journal recording on (the
-/// journal-overhead cell), per-port ring workers, and polling pools of
-/// 1, 2 and `THREADS` shards.  `MVEE_BENCH_TRANSPORTS` (comma-separated
-/// labels) restricts the set — CI uses it for a `sync,async-pool1` smoke.
+/// journal-overhead cell), and polling pools of 1, 2 and `THREADS` shards.
 fn cells() -> Vec<Cell> {
-    let all = vec![
+    vec![
         Cell::plain(Transport::Sync),
         Cell {
             transport: Transport::Sync,
             journal: true,
         },
-        Cell::plain(Transport::AsyncRings {
-            depth: RING_DEPTH,
-            pollers: Pollers::PerPort,
-        }),
         Cell::plain(Transport::AsyncRings {
             depth: RING_DEPTH,
             pollers: Pollers::Pool(1),
@@ -242,24 +234,7 @@ fn cells() -> Vec<Cell> {
             depth: RING_DEPTH,
             pollers: Pollers::Pool(THREADS),
         }),
-    ];
-    let Ok(filter) = std::env::var("MVEE_BENCH_TRANSPORTS") else {
-        return all;
-    };
-    let wanted: Vec<&str> = filter
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    let picked: Vec<Cell> = all
-        .into_iter()
-        .filter(|c| wanted.iter().any(|w| *w == c.label()))
-        .collect();
-    assert!(
-        !picked.is_empty(),
-        "MVEE_BENCH_TRANSPORTS={filter:?} matched no cell label"
-    );
-    picked
+    ]
 }
 
 /// One calibrated measurement cell: repeat the run until ~`budget` has

@@ -115,40 +115,28 @@ impl Placement {
 /// plus pipelined run-ahead, small enough to stay cache-resident.
 pub const DEFAULT_RING_DEPTH: usize = 64;
 
-/// Who drains the [`Transport::AsyncRings`] submission rings on the monitor
-/// side.
-///
-/// * [`Pollers::PerPort`] — the historical shape: every
-///   [`AsyncThreadPort`](crate::async_port::AsyncThreadPort) spawns a
-///   dedicated gateway worker that *blocks* inside the monitor pipeline.
-///   Monitor-side threads scale as `variants × threads`; on a box with no
-///   spare cores the context switches eat the decoupling win.  Kept as the
-///   ablation baseline.
-/// * [`Pollers::Pool(n)`](Pollers::Pool) — a fixed pool of `n` polling
-///   shards ([`crate::poller`]): each shard owns many ports' rings and
-///   round-robins drain → non-blocking rendezvous (try/poll) → complete,
-///   parking only when every served ring is empty and every in-flight
-///   arrival is pending.  Monitor-side threads are exactly `n` regardless
-///   of `variants × threads`.
+/// How many polling monitor shards ([`crate::poller`]) drain the
+/// [`Transport::AsyncRings`] submission rings.  Each shard owns many ports'
+/// rings and round-robins drain → non-blocking rendezvous (try/poll) →
+/// complete, parking only when every served ring is empty and every
+/// in-flight arrival is pending, so monitor-side threads are a fixed count
+/// regardless of `variants × threads`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Pollers {
-    /// One dedicated blocking gateway worker per (variant, thread) port.
-    #[default]
-    PerPort,
     /// A fixed pool of `n` polling shards serving all ports.
     Pool(usize),
     /// A fixed polling pool auto-sized from the machine:
     /// [`Pollers::auto_pool_size`] applied to
     /// `std::thread::available_parallelism()` at build time.
+    #[default]
     Auto,
 }
 
 impl Pollers {
-    /// Short name used in benchmark tables and reports: `per-port`,
-    /// `pool{n}` or `auto`.
+    /// Short name used in benchmark tables and reports: `pool{n}` or
+    /// `auto`.
     pub fn label(&self) -> String {
         match self {
-            Pollers::PerPort => "per-port".to_string(),
             Pollers::Pool(n) => format!("pool{n}"),
             Pollers::Auto => "auto".to_string(),
         }
@@ -200,9 +188,8 @@ impl RemoteChannel {
 /// * [`Transport::AsyncRings`] — the asynchronous gateway: each
 ///   (variant, thread) port owns a paired submission/completion ring
 ///   (virtio split-queue style); the variant thread deposits descriptors
-///   and runs ahead into already-resolved work while the monitor side —
-///   a per-port gateway worker or a shared polling shard, per
-///   [`Pollers`] — drains the submission ring through the same pipeline
+///   and runs ahead into already-resolved work while a shared polling
+///   shard ([`Pollers`]) drains the submission ring through the same pipeline
 ///   and posts verdicts to the completion ring.  Calls the policy marks
 ///   synchronous (replicated, ordered, process-lifecycle) still block at
 ///   the reap point, so verdicts are identical to the sync transport; see
@@ -225,8 +212,7 @@ pub enum Transport {
         /// Ring capacity in descriptors (rounded up to a power of two):
         /// how far a variant thread may run ahead of the monitor.
         depth: usize,
-        /// Who drains the submission rings: a blocking worker per port or
-        /// a fixed polling pool.
+        /// How many polling shards drain the submission rings.
         pollers: Pollers,
     },
     /// Leader/follower split over a framed replication channel.
@@ -238,11 +224,11 @@ pub enum Transport {
 
 impl Transport {
     /// An [`AsyncRings`](Transport::AsyncRings) transport with the default
-    /// ring depth and per-port gateway workers.
+    /// ring depth and an auto-sized polling pool.
     pub fn async_default() -> Self {
         Transport::AsyncRings {
             depth: DEFAULT_RING_DEPTH,
-            pollers: Pollers::PerPort,
+            pollers: Pollers::Auto,
         }
     }
 
@@ -308,15 +294,11 @@ impl Transport {
     }
 
     /// Cell label for benchmark tables: distinguishes the poller shape
-    /// (`sync`, `async-rings` for per-port, `async-pool{n}`) and the
-    /// remote channel (`remote-inproc`, `remote-unix`, `remote-tcp`).
+    /// (`sync`, `async-pool{n}`, `async-auto`) and the remote channel
+    /// (`remote-inproc`, `remote-unix`, `remote-tcp`).
     pub fn label(&self) -> String {
         match self {
             Transport::Sync => "sync".to_string(),
-            Transport::AsyncRings {
-                pollers: Pollers::PerPort,
-                ..
-            } => "async-rings".to_string(),
             Transport::AsyncRings {
                 pollers: Pollers::Pool(n),
                 ..
@@ -520,8 +502,8 @@ impl MveeConfig {
                 assert!(
                     n > 0,
                     "a polling pool needs at least one worker (Pollers::Pool(0) \
-                     would never drain any submission ring); use Pollers::PerPort, \
-                     Pool(1+) or Auto"
+                     would never drain any submission ring); use Pollers::Pool(1+) \
+                     or Auto"
                 );
             }
         }
@@ -692,13 +674,14 @@ mod tests {
         let c = c.with_transport(Transport::async_default());
         assert!(c.transport.is_async());
         assert_eq!(c.transport.depth(), Some(DEFAULT_RING_DEPTH));
-        assert_eq!(c.transport.pollers(), Some(Pollers::PerPort));
+        assert_eq!(c.transport.pollers(), Some(Pollers::Auto));
+        assert_eq!(Pollers::default(), Pollers::Auto);
         assert_eq!(c.transport.name(), "async-rings");
-        assert_eq!(c.transport.label(), "async-rings");
+        assert_eq!(c.transport.label(), "async-auto");
         assert_eq!(
             c.with_transport(Transport::AsyncRings {
                 depth: 16,
-                pollers: Pollers::PerPort,
+                pollers: Pollers::Auto,
             })
             .transport
             .depth(),
@@ -714,7 +697,6 @@ mod tests {
         // bench cells apart.
         assert_eq!(c.transport.name(), "async-rings");
         assert_eq!(c.transport.label(), "async-pool2");
-        assert_eq!(Pollers::PerPort.label(), "per-port");
         assert_eq!(Pollers::Pool(4).label(), "pool4");
         assert_eq!(Transport::Sync.pollers(), None);
     }
@@ -811,7 +793,7 @@ mod tests {
     fn zero_ring_depth_panics() {
         let _ = MveeConfig::default().with_transport(Transport::AsyncRings {
             depth: 0,
-            pollers: Pollers::PerPort,
+            pollers: Pollers::Auto,
         });
     }
 

@@ -36,10 +36,9 @@
 //!
 //! [`JournalRecorder`] is the sink the monitor writes through (installed
 //! via `MveeConfig::journal`); it is transport-agnostic — the synchronous
-//! ports, the per-port gateway workers and the polling pools all funnel
-//! through the same [`crate::monitor::Monitor`]/[`crate::lockstep`] choke
-//! points, so every transport emits an identical stream for the same
-//! schedule.  [`replay`] consumes the bytes, re-derives the monitor
+//! ports, the polling pools and the follower pump all funnel through the
+//! same [`crate::monitor::Monitor`]/[`crate::lockstep`] choke points, so
+//! every transport emits an identical stream for the same schedule.  [`replay`] consumes the bytes, re-derives the monitor
 //! statistics and — for a divergent run — re-runs the verdict over the
 //! recorded arrival keys via [`first_mismatch`], checking the re-derived
 //! first-mismatch slot and variant against the recorded report field by

@@ -25,7 +25,9 @@
 //!   agent's replay, via the monitor's poison hook) when divergence is
 //!   detected.  [`MonitorConfig::shards`](monitor::MonitorConfig) sets the
 //!   partitioning; `shards = 1` reproduces the original global table for
-//!   ablations.
+//!   ablations.  Every wait is a deposit plus one check step per wait
+//!   kind: pollers run the step once, blocking callers park on the shard
+//!   condvar between steps.
 //! * [`policy::MonitoringPolicy`] — which calls are locksteped (everything,
 //!   only security-sensitive calls, or nothing), matching the policy range
 //!   evaluated in §5.1; [`policy::CallDisposition`] resolves a call's full
@@ -46,12 +48,11 @@
 //!   monitor compares in the background.  Selected via
 //!   [`config::Transport`]; calls the policy marks synchronous still block
 //!   at the reap point.
-//! * [`poller::PollerPool`] — polling monitor shards: with
-//!   `Pollers::Pool(n)` a fixed set of `n` poller threads drains every
-//!   port's rings through the lockstep table's non-blocking try/poll
-//!   rendezvous, capping monitor-side threads at `n` instead of
-//!   variants×threads (`Pollers::PerPort` keeps a dedicated gateway worker
-//!   per port as the ablation baseline).
+//! * [`poller::PollerPool`] — polling monitor shards: a fixed set of
+//!   poller threads (`Pollers::Pool(n)`, or `Pollers::Auto` — the default
+//!   — sized from the machine) drains every port's rings through the
+//!   lockstep table's non-blocking try/poll rendezvous, so monitor-side
+//!   threads stay fixed instead of growing with variants×threads.
 //! * [`config::MveeConfig`] — the one shared tuning block (policy, agent,
 //!   transport, shards, batch, placement, timeout) every front end embeds.
 //! * [`journal`] — the divergence journal: record a run's rendezvous

@@ -13,6 +13,25 @@
 //!   ([`LockstepTable::publish_outcome`]); slave variants block until the
 //!   outcome is available ([`LockstepTable::wait_outcome`]).
 //!
+//! # Poll, then park
+//!
+//! Every wait has one implementation.  A *deposit*
+//! ([`LockstepTable::try_arrive`], [`LockstepTable::try_arrive_batch`],
+//! [`LockstepTable::try_wait_outcome`]) returns `Ready` with the verdict or
+//! `Pending` with a token that carries the slot, the depositing variant and
+//! the deadline.  Each wait kind — single arrival, batch, outcome — then has
+//! one *check step*, run under the shard lock, that resolves the token or
+//! leaves it open.  The `poll_*` calls run the check step once; the blocking
+//! calls (`arrive`, `arrive_batch`, `wait_outcome_until`) are the deposit
+//! followed by the same check step in a loop that parks on the shard
+//! condvar until the token's deadline between passes.  A polling monitor shard and a blocked
+//! variant thread therefore cannot disagree on a verdict.
+//!
+//! A pending arrival whose depositor is quarantined before it resolves
+//! reports [`ArrivalResult::Poisoned`] — the verdict a quarantined lane's
+//! late deposit gets — rather than the verdict the survivors reach once the
+//! quarantine sweep has erased its key.
+//!
 //! # Sharding
 //!
 //! A slot is only ever touched by the copies of one logical thread across the
@@ -53,8 +72,8 @@
 //! # Slot lifetime
 //!
 //! Slots are reclaimed once every variant has consumed them **and** no
-//! waiter still holds a reference.  Each blocked `arrive` (and each
-//! unresolved key of an `arrive_batch`) registers in the slot's waiter
+//! waiter still holds a reference.  Each pending arrival (and each
+//! unresolved key of a pending batch) registers in the slot's waiter
 //! refcount, so a slot can never vanish underneath a waiter that is about to
 //! re-inspect it; a late waiter always observes a clean
 //! `Consistent`/`Mismatch`/`Poisoned` result instead of panicking on a
@@ -215,6 +234,9 @@ fn full_mask(variants: usize) -> u64 {
     }
 }
 
+/// A shard's slot map, locked.
+type Slots<'a> = MutexGuard<'a, HashMap<SlotKey, Slot>>;
+
 /// One independent partition of the rendezvous table.
 #[derive(Debug)]
 struct Shard {
@@ -291,8 +313,8 @@ pub struct LockstepTable {
     poisoned: AtomicBool,
     /// Registered polling-shard wakers, raised on every deposit, outcome
     /// publication and poison.  Empty (and bypassed via `observed`) unless
-    /// a poller pool is wired up, so the sync and per-port transports pay
-    /// one relaxed load, nothing more.
+    /// a poller pool or follower pump is wired up, so the sync transport
+    /// pays one relaxed load, nothing more.
     observers: Mutex<Vec<Arc<PollWaker>>>,
     observed: AtomicBool,
     /// Divergence-journal sink: every deposit and outcome publication is
@@ -472,11 +494,11 @@ impl LockstepTable {
     /// victim's membership, its deposited key, and — when the victim's key
     /// was the only disagreeing one — its mismatch flag, so in-flight
     /// waiters re-resolve against the reduced variant set with exactly the
-    /// verdicts a run that never included the victim would produce.  Slots
-    /// the removal leaves fully consumed and unreferenced are reclaimed on
-    /// the spot.  Every shard is then broadcast-woken so blocked survivors
-    /// re-inspect their slots immediately instead of running into their
-    /// deadlines.
+    /// verdicts a run that never included the victim would produce; the
+    /// victim's own pending waits resolve `Poisoned`.  Slots the removal
+    /// leaves fully consumed and unreferenced are reclaimed on the spot.
+    /// Every shard is then broadcast-woken so blocked waiters re-inspect
+    /// their slots immediately instead of running into their deadlines.
     ///
     /// Returns `false` when the victim was already quarantined (the sweep
     /// is idempotent; only the first caller performs it).
@@ -547,8 +569,8 @@ impl LockstepTable {
         self.observed.store(true, Ordering::Release);
     }
 
-    /// Raises every registered waker.  The no-observer fast path (sync and
-    /// per-port transports) is a single relaxed-ish load.
+    /// Raises every registered waker.  The no-observer fast path (the sync
+    /// transport) is a single relaxed-ish load.
     fn notify_observers(&self) {
         if !self.observed.load(Ordering::Acquire) {
             return;
@@ -587,7 +609,7 @@ impl LockstepTable {
     /// Releases one waiter registration on `key` and reclaims the slot if it
     /// is fully consumed and unreferenced.  Must be called exactly once per
     /// registration (see the module docs on slot lifetime).
-    fn release_waiter(&self, slots: &mut MutexGuard<'_, HashMap<SlotKey, Slot>>, key: SlotKey) {
+    fn release_waiter(&self, slots: &mut Slots<'_>, key: SlotKey) {
         if let Some(slot) = slots.get_mut(&key) {
             slot.waiters -= 1;
             if slot.waiters == 0 && slot.fully_consumed() {
@@ -601,8 +623,158 @@ impl LockstepTable {
         Slot::new(self.variants, self.active_mask.load(Ordering::SeqCst))
     }
 
+    /// Deposits `variant`'s key at `key` under the held shard lock.  Returns
+    /// the slot's verdict when this deposit completes (or mismatches) the
+    /// rendezvous; otherwise registers a waiter, which the token standing
+    /// for this deposit releases when its check step resolves it.
+    fn deposit(
+        &self,
+        slots: &mut Slots<'_>,
+        key: SlotKey,
+        variant: usize,
+        cmp: ComparisonKey,
+        journal: bool,
+    ) -> Option<ArrivalResult> {
+        if journal {
+            self.journal_arrival(key, variant, &cmp);
+        }
+        let slot = slots.entry(key).or_insert_with(|| self.new_slot());
+        slot.deposit(variant, cmp);
+        let result = self.slot_result(slot);
+        match &result {
+            Some(ArrivalResult::Mismatch(..)) => slot.mismatch = true,
+            Some(_) => {}
+            None => slot.waiters += 1,
+        }
+        result
+    }
+
+    /// Whether a pending wait deposited by `variant` is void: the table is
+    /// poisoned, or `variant` has been quarantined since it deposited.  The
+    /// quarantine sweep erased its key, so whatever the slot resolves to
+    /// from then on speaks for the survivors only; the depositor gets the
+    /// `Poisoned` verdict its late deposit would have got.
+    fn abandoned(&self, variant: usize) -> bool {
+        self.is_poisoned() || !self.is_active(variant)
+    }
+
+    /// The check step of a single arrival, run under the shard lock.
+    /// Resolves `token` — `Poisoned` when [`abandoned`](Self::abandoned),
+    /// the slot's verdict once the rendezvous completes, `Timeout` with the
+    /// arrived variants once the deadline has passed — and releases its
+    /// waiter registration, or returns `None` while the rendezvous is open.
+    fn check_arrival(&self, slots: &mut Slots<'_>, token: &ArrivalToken) -> Option<ArrivalResult> {
+        let result = if self.abandoned(token.variant) {
+            ArrivalResult::Poisoned
+        } else {
+            match slots.get(&token.key) {
+                // Defensive: the waiter registration makes a vanished slot
+                // unreachable, but a vanished slot means the rendezvous
+                // completed and was consumed, so report the benign outcome.
+                None => ArrivalResult::Consistent,
+                Some(slot) => match self.slot_result(slot) {
+                    Some(result) => result,
+                    None if Instant::now() >= token.deadline => {
+                        ArrivalResult::Timeout(Self::arrived_variants(slot))
+                    }
+                    None => return None,
+                },
+            }
+        };
+        self.release_waiter(slots, token.key);
+        Some(result)
+    }
+
+    /// The check step of a batch, run under the shard lock: resolves every
+    /// key that completed (keys keep the verdicts they already have), fills
+    /// `Poisoned` when [`abandoned`](Self::abandoned) and `Timeout` past the
+    /// shared deadline, and — once no key is left open — releases every
+    /// held waiter registration exactly once and returns the verdicts in
+    /// batch order.
+    fn check_batch(
+        &self,
+        slots: &mut Slots<'_>,
+        token: &mut BatchToken,
+    ) -> Option<Vec<ArrivalResult>> {
+        let abandoned = self.abandoned(token.variant);
+        let expired = Instant::now() >= token.deadline;
+        let mut open = false;
+        for (key, result) in token.keys.iter().zip(token.results.iter_mut()) {
+            if result.is_some() {
+                continue;
+            }
+            *result = if abandoned {
+                Some(ArrivalResult::Poisoned)
+            } else {
+                match slots.get(key) {
+                    None => Some(ArrivalResult::Consistent),
+                    Some(slot) => self.slot_result(slot).or_else(|| {
+                        expired.then(|| ArrivalResult::Timeout(Self::arrived_variants(slot)))
+                    }),
+                }
+            };
+            open |= result.is_none();
+        }
+        if open {
+            return None;
+        }
+        for (key, &held) in token.keys.iter().zip(&token.holds_waiter) {
+            if held {
+                self.release_waiter(slots, *key);
+            }
+        }
+        Some(
+            std::mem::take(&mut token.results)
+                .into_iter()
+                .map(|r| r.expect("every batch key resolves before return"))
+                .collect(),
+        )
+    }
+
+    /// The check step of an outcome wait: `Some(None)` when the table is
+    /// poisoned or the deadline passed with nothing published,
+    /// `Some(Some(..))` once the outcome is published, `None` while still
+    /// waiting.  Outcome waits hold no waiter registration.
+    fn check_outcome(
+        &self,
+        slots: &HashMap<SlotKey, Slot>,
+        token: &OutcomeToken,
+    ) -> Option<Option<(SyscallOutcome, Option<u64>)>> {
+        if self.is_poisoned() {
+            return Some(None);
+        }
+        let published = slots
+            .get(&token.key)
+            .and_then(|slot| Some((slot.outcome.clone()?, slot.timestamp)));
+        if published.is_some() {
+            return Some(published);
+        }
+        (Instant::now() >= token.deadline).then_some(None)
+    }
+
+    /// The blocking half of every wait: runs a check step under the shard
+    /// lock and parks on the shard condvar between passes.  Every check
+    /// step resolves once its deadline has passed, so the park never
+    /// outlives `deadline`.
+    fn park<T>(
+        &self,
+        shard: &Shard,
+        deadline: Instant,
+        mut check: impl FnMut(&mut Slots<'_>) -> Option<T>,
+    ) -> T {
+        let mut slots = shard.slots.lock();
+        loop {
+            if let Some(resolved) = check(&mut slots) {
+                return resolved;
+            }
+            shard.changed.wait_until(&mut slots, deadline);
+        }
+    }
+
     /// Registers variant `variant`'s arrival at `key` with comparison key
-    /// `cmp` and waits until every expected variant has arrived (lockstep).
+    /// `cmp` and waits until every expected variant has arrived (lockstep):
+    /// [`try_arrive`](Self::try_arrive), then, if the rendezvous is still
+    /// open, its check step parked on the shard condvar.
     pub fn arrive(
         &self,
         key: SlotKey,
@@ -610,107 +782,24 @@ impl LockstepTable {
         cmp: ComparisonKey,
         timeout: Duration,
     ) -> ArrivalResult {
-        self.arrive_inner(key, variant, cmp, timeout, true)
+        match self.try_arrive(key, variant, cmp, timeout) {
+            TryArrive::Ready(result) => result,
+            TryArrive::Pending(token) => self.wait_arrival(token),
+        }
     }
 
-    /// Re-registers an arrival whose first verdict was superseded by a
-    /// quarantine: identical to [`arrive`](Self::arrive) — the deposit is
-    /// idempotent, so a key already present is simply re-presented — except
-    /// that the deadline restarts and nothing is journaled (the original
-    /// arrival already was; the journal keeps the pre-quarantine schedule).
-    pub fn rearrive(
-        &self,
-        key: SlotKey,
-        variant: usize,
-        cmp: ComparisonKey,
-        timeout: Duration,
-    ) -> ArrivalResult {
-        self.arrive_inner(key, variant, cmp, timeout, false)
-    }
-
-    fn arrive_inner(
-        &self,
-        key: SlotKey,
-        variant: usize,
-        cmp: ComparisonKey,
-        timeout: Duration,
-        journal: bool,
-    ) -> ArrivalResult {
-        let deadline = Instant::now() + timeout;
-        let shard = self.shard(key);
-        let mut slots = shard.slots.lock();
-        if !self.is_active(variant) {
-            // A quarantined lane's late arrival: refuse the deposit (it is
-            // no longer part of any expected set) with the same verdict a
-            // poisoned table reports — the caller shuts the lane down.
-            return ArrivalResult::Poisoned;
-        }
-        if journal {
-            self.journal_arrival(key, variant, &cmp);
-        }
-        let slot = slots.entry(key).or_insert_with(|| self.new_slot());
-        slot.deposit(variant, cmp);
-        if let Some(result) = self.slot_result(slot) {
-            if matches!(result, ArrivalResult::Mismatch(..)) {
-                slot.mismatch = true;
-            }
-            shard.changed.notify_all();
-            drop(slots);
-            self.notify_observers();
-            return result;
-        }
-        // Not complete yet: register as a waiter so the slot cannot be
-        // reclaimed while this thread sleeps, wake the shard (another variant
-        // may be waiting for our arrival on a *different* slot of this
-        // shard's map under the same condvar), then block.
-        slot.waiters += 1;
-        shard.changed.notify_all();
-        self.notify_observers();
-        let result = self.wait_for_rendezvous(shard, &mut slots, key, deadline);
-        // The registration is released exactly once, here, whatever path
-        // `wait_for_rendezvous` returned through.
-        self.release_waiter(&mut slots, key);
-        result
-    }
-
-    /// The blocking half of [`arrive`](Self::arrive): waits until the slot
-    /// resolves, the table is poisoned, or the deadline passes.  Called with
-    /// the slot's waiter refcount already taken; the caller releases it.
-    fn wait_for_rendezvous(
-        &self,
-        shard: &Shard,
-        slots: &mut MutexGuard<'_, HashMap<SlotKey, Slot>>,
-        key: SlotKey,
-        deadline: std::time::Instant,
-    ) -> ArrivalResult {
-        loop {
-            if self.is_poisoned() {
-                return ArrivalResult::Poisoned;
-            }
-            let Some(slot) = slots.get(&key) else {
-                // Defensive: the waiter refcount makes this unreachable, but
-                // a vanished slot means the rendezvous completed and was
-                // consumed, so report the benign outcome instead of
-                // panicking.
-                return ArrivalResult::Consistent;
-            };
-            if let Some(result) = self.slot_result(slot) {
-                return result;
-            }
-            if shard.changed.wait_until(slots, deadline).timed_out() {
-                let Some(slot) = slots.get(&key) else {
-                    return ArrivalResult::Consistent;
-                };
-                if let Some(result) = self.slot_result(slot) {
-                    return result;
-                }
-                return ArrivalResult::Timeout(Self::arrived_variants(slot));
-            }
-        }
+    /// Parks until a pending arrival resolves: the blocking form of
+    /// [`poll_arrival`](Self::poll_arrival), over the same check step.
+    pub(crate) fn wait_arrival(&self, token: ArrivalToken) -> ArrivalResult {
+        self.park(self.shard(token.key), token.deadline, |slots| {
+            self.check_arrival(slots, &token)
+        })
     }
 
     /// Deposits a whole block of pending comparisons under a **single**
-    /// shard-lock acquisition and resolves them as a unit.
+    /// shard-lock acquisition and resolves them as a unit:
+    /// [`try_arrive_batch`](Self::try_arrive_batch), then, if any key is
+    /// still open, its check step parked on the shard condvar.
     ///
     /// Semantically equivalent to calling [`arrive`](Self::arrive) once per
     /// element of `batch` (each key receives its own [`ArrivalResult`], and a
@@ -721,10 +810,7 @@ impl LockstepTable {
     /// `timeout` instead of each key restarting it, so keys a peer never
     /// arrives at report [`ArrivalResult::Timeout`] after a single deadline.
     ///
-    /// Returns one result per batch element, in batch order.  Keys that
-    /// resolve while later ones are still pending keep their verdicts; their
-    /// waiter registrations are released exactly once on exit, never again on
-    /// the timeout path.
+    /// Returns one result per batch element, in batch order.
     ///
     /// # Panics
     ///
@@ -738,138 +824,19 @@ impl LockstepTable {
         batch: &[BatchArrival],
         timeout: Duration,
     ) -> Vec<ArrivalResult> {
-        self.arrive_batch_inner(variant, batch, timeout, true)
+        match self.try_arrive_batch(variant, batch, timeout) {
+            TryBatch::Ready(results) => results,
+            TryBatch::Pending(token) => self.wait_batch(token),
+        }
     }
 
-    /// The batched twin of [`rearrive`](Self::rearrive): re-deposits the
-    /// given keys with a fresh shared deadline, journaling nothing.
-    pub fn rearrive_batch(
-        &self,
-        variant: usize,
-        batch: &[BatchArrival],
-        timeout: Duration,
-    ) -> Vec<ArrivalResult> {
-        self.arrive_batch_inner(variant, batch, timeout, false)
-    }
-
-    fn arrive_batch_inner(
-        &self,
-        variant: usize,
-        batch: &[BatchArrival],
-        timeout: Duration,
-        journal: bool,
-    ) -> Vec<ArrivalResult> {
-        assert!(
-            batch.len() <= MAX_BATCH,
-            "batch of {} exceeds MAX_BATCH ({MAX_BATCH})",
-            batch.len()
-        );
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let shard_idx = self.shard_of(batch[0].key.0);
-        assert!(
-            batch.iter().all(|a| self.shard_of(a.key.0) == shard_idx),
-            "a batch must stay within one rendezvous shard"
-        );
-        // Hard assert, like the bound and shard checks above: the documented
-        // contract promises a panic, and a silent duplicate would overwrite
-        // the first deposit and double-register a waiter.  O(n²) on n ≤
-        // MAX_BATCH keys, paid once per flush, off the per-call hot path.
-        assert!(
-            (1..batch.len()).all(|i| batch[..i].iter().all(|a| a.key != batch[i].key)),
-            "a batch must not deposit the same slot twice"
-        );
-        let deadline = Instant::now() + timeout;
-        let shard = &self.shards[shard_idx];
-        let mut slots = shard.slots.lock();
-        if !self.is_active(variant) {
-            // Quarantined lane: refuse the whole batch, as `arrive` would.
-            return vec![ArrivalResult::Poisoned; batch.len()];
-        }
-
-        // Deposit every key under the one lock hold.  Keys whose rendezvous
-        // completes right here resolve immediately; the rest register a
-        // waiter each so their slots survive the wait.
-        let mut results: Vec<Option<ArrivalResult>> = vec![None; batch.len()];
-        let mut holds_waiter = vec![false; batch.len()];
-        let mut unresolved = 0usize;
-        for (i, arrival) in batch.iter().enumerate() {
-            if journal {
-                self.journal_arrival(arrival.key, variant, &arrival.cmp);
-            }
-            let slot = slots.entry(arrival.key).or_insert_with(|| self.new_slot());
-            slot.deposit(variant, arrival.cmp.clone());
-            if let Some(result) = self.slot_result(slot) {
-                if matches!(result, ArrivalResult::Mismatch(..)) {
-                    slot.mismatch = true;
-                }
-                results[i] = Some(result);
-            } else {
-                slot.waiters += 1;
-                holds_waiter[i] = true;
-                unresolved += 1;
-            }
-        }
-        shard.changed.notify_all();
-        self.notify_observers();
-
-        while unresolved > 0 {
-            if self.is_poisoned() {
-                for r in results.iter_mut().filter(|r| r.is_none()) {
-                    *r = Some(ArrivalResult::Poisoned);
-                }
-                break;
-            }
-            // Resolve every key that completed since the last wake-up.
-            for (i, arrival) in batch.iter().enumerate() {
-                if results[i].is_some() {
-                    continue;
-                }
-                let resolved = match slots.get(&arrival.key) {
-                    // Defensive, as in `wait_for_rendezvous`: the waiter
-                    // refcount makes a vanished slot unreachable.
-                    None => Some(ArrivalResult::Consistent),
-                    Some(slot) => self.slot_result(slot),
-                };
-                if let Some(result) = resolved {
-                    results[i] = Some(result);
-                    unresolved -= 1;
-                }
-            }
-            if unresolved == 0 {
-                break;
-            }
-            if shard.changed.wait_until(&mut slots, deadline).timed_out() {
-                // Keys that completed right at the wire still resolve; the
-                // rest report which variants did arrive.
-                for (i, arrival) in batch.iter().enumerate() {
-                    if results[i].is_some() {
-                        continue;
-                    }
-                    results[i] = Some(match slots.get(&arrival.key) {
-                        None => ArrivalResult::Consistent,
-                        Some(slot) => self.slot_result(slot).unwrap_or_else(|| {
-                            ArrivalResult::Timeout(Self::arrived_variants(slot))
-                        }),
-                    });
-                }
-                break;
-            }
-        }
-
-        // Release every registration exactly once — including the ones whose
-        // keys resolved long before the deadline — and reclaim on the way
-        // out.  This is the single release site of the batch path.
-        for (i, arrival) in batch.iter().enumerate() {
-            if holds_waiter[i] {
-                self.release_waiter(&mut slots, arrival.key);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch key resolves before return"))
-            .collect()
+    /// Parks until every key of a pending batch resolves: the blocking form
+    /// of [`poll_batch`](Self::poll_batch), over the same check step.
+    pub(crate) fn wait_batch(&self, mut token: BatchToken) -> Vec<ArrivalResult> {
+        let deadline = token.deadline;
+        self.park(&self.shards[token.shard_idx], deadline, |slots| {
+            self.check_batch(slots, &mut token)
+        })
     }
 
     /// Publishes the master's outcome (and, for ordered calls, the syscall
@@ -911,26 +878,12 @@ impl LockstepTable {
         timeout: Duration,
         abort: impl Fn() -> bool,
     ) -> Option<(SyscallOutcome, Option<u64>)> {
-        let deadline = std::time::Instant::now() + timeout;
-        let shard = self.shard(key);
-        let mut slots = shard.slots.lock();
-        loop {
-            if self.is_poisoned() {
-                return None;
-            }
-            if let Some(slot) = slots.get(&key) {
-                if let Some(outcome) = &slot.outcome {
-                    return Some((outcome.clone(), slot.timestamp));
-                }
-            }
-            if abort() {
-                return None;
-            }
-            if shard.changed.wait_until(&mut slots, deadline).timed_out() {
-                let slot = slots.get(&key)?;
-                let outcome = slot.outcome.clone()?;
-                return Some((outcome, slot.timestamp));
-            }
+        match self.try_wait_outcome(key, timeout) {
+            TryOutcome::Ready(resolved) => resolved,
+            TryOutcome::Pending(token) => self.park(self.shard(key), token.deadline, |slots| {
+                self.check_outcome(slots, &token)
+                    .or_else(|| abort().then_some(None))
+            }),
         }
     }
 
@@ -951,19 +904,16 @@ impl LockstepTable {
         }
     }
 
-    // --- Poll-mode rendezvous: the non-blocking mirror of the API above ---
+    // --- Deposits and polls ---
     //
     // A polling monitor shard must never sleep inside one port's rendezvous,
     // or a cross-variant circular wait (thread A of v0 and thread B of v1
     // arriving in opposite order) deadlocks it the way it would deadlock a
-    // naive blocking drain.  The `try_*` calls deposit exactly like their
-    // blocking twins and return `Pending` with a token instead of parking;
-    // `poll_*` re-examines a token without sleeping.  Deadlines are fixed at
-    // deposit time — precisely where the blocking calls compute theirs — so
-    // the `Timeout` verdicts (and their arrived-variant lists) are identical
-    // to what the blocking path would report.  A `Pending` token holds the
-    // slot's waiter registration; it is released exactly once, by the
-    // `poll_*` call that resolves it, so slot reclamation is unchanged.
+    // naive blocking drain.  The `try_*` calls deposit and return `Pending`
+    // with a token instead of parking; `poll_*` runs the token's check step
+    // once.  Deadlines are fixed at deposit time and a `Pending` token holds
+    // the slot's waiter registration until the check step that resolves it
+    // releases it, so polled and parked waits report identical verdicts.
 
     /// Deposits variant `variant`'s arrival at `key` without blocking.
     ///
@@ -981,8 +931,12 @@ impl LockstepTable {
         self.try_arrive_inner(key, variant, cmp, timeout, true)
     }
 
-    /// The poll-mode twin of [`rearrive`](Self::rearrive): re-deposits the
-    /// key with a fresh deadline, journaling nothing.
+    /// Re-deposits an arrival whose first verdict was superseded by a
+    /// quarantine: identical to [`try_arrive`](Self::try_arrive) — the
+    /// deposit is idempotent, so a key already present is simply
+    /// re-presented — except that the deadline restarts and nothing is
+    /// journaled (the original arrival already was; the journal keeps the
+    /// pre-quarantine schedule).
     pub fn try_rearrive(
         &self,
         key: SlotKey,
@@ -1001,79 +955,47 @@ impl LockstepTable {
         timeout: Duration,
         journal: bool,
     ) -> TryArrive {
-        let deadline = Instant::now() + timeout;
+        let token = ArrivalToken {
+            key,
+            variant,
+            deadline: Instant::now() + timeout,
+        };
         let shard = self.shard(key);
         let mut slots = shard.slots.lock();
         if !self.is_active(variant) {
+            // A quarantined lane's late arrival: refuse the deposit (it is
+            // no longer part of any expected set) with the same verdict a
+            // poisoned table reports — the caller shuts the lane down.
             return TryArrive::Ready(ArrivalResult::Poisoned);
         }
-        if journal {
-            self.journal_arrival(key, variant, &cmp);
-        }
-        let slot = slots.entry(key).or_insert_with(|| self.new_slot());
-        slot.deposit(variant, cmp);
-        if let Some(result) = self.slot_result(slot) {
-            if matches!(result, ArrivalResult::Mismatch(..)) {
-                slot.mismatch = true;
-            }
-            shard.changed.notify_all();
-            drop(slots);
-            self.notify_observers();
-            return TryArrive::Ready(result);
-        }
-        slot.waiters += 1;
+        let resolved = self
+            .deposit(&mut slots, key, variant, cmp, journal)
+            .or_else(|| self.check_arrival(&mut slots, &token));
+        // Wake the shard: a peer may be waiting on this slot, or on another
+        // slot of this shard's map under the same condvar.
         shard.changed.notify_all();
-        if self.is_poisoned() {
-            // Same verdict the blocking path's first wake-up would return;
-            // resolve immediately so no token (and no registration) escapes.
-            self.release_waiter(&mut slots, key);
-            return TryArrive::Ready(ArrivalResult::Poisoned);
-        }
         drop(slots);
         self.notify_observers();
-        TryArrive::Pending(ArrivalToken { key, deadline })
+        match resolved {
+            Some(result) => TryArrive::Ready(result),
+            None => TryArrive::Pending(token),
+        }
     }
 
-    /// Checks a pending arrival without sleeping.
+    /// Runs a pending arrival's check step once, without sleeping.
     ///
     /// `Ok` resolves the token (releasing its waiter registration) with the
-    /// same verdict the blocking [`arrive`](Self::arrive) would have
-    /// returned; `Err` hands the still-pending token back.
+    /// verdict the blocking [`arrive`](Self::arrive) would return; `Err`
+    /// hands the still-pending token back.
     pub fn poll_arrival(&self, token: ArrivalToken) -> Result<ArrivalResult, ArrivalToken> {
-        let shard = self.shard(token.key);
-        let mut slots = shard.slots.lock();
-        if self.is_poisoned() {
-            self.release_waiter(&mut slots, token.key);
-            return Ok(ArrivalResult::Poisoned);
-        }
-        let resolved = match slots.get(&token.key) {
-            // Defensive, as in `wait_for_rendezvous`: the waiter refcount
-            // makes a vanished slot unreachable.
-            None => Some(ArrivalResult::Consistent),
-            Some(slot) => self.slot_result(slot),
-        };
-        if let Some(result) = resolved {
-            self.release_waiter(&mut slots, token.key);
-            return Ok(result);
-        }
-        if Instant::now() >= token.deadline {
-            // The slot was just inspected and is incomplete: report which
-            // variants did arrive, exactly like the blocking timeout path
-            // (whose at-the-wire re-check this poll already performed).
-            let arrived = slots
-                .get(&token.key)
-                .map(Self::arrived_variants)
-                .unwrap_or_default();
-            self.release_waiter(&mut slots, token.key);
-            return Ok(ArrivalResult::Timeout(arrived));
-        }
-        Err(token)
+        let mut slots = self.shard(token.key).slots.lock();
+        self.check_arrival(&mut slots, &token).ok_or(token)
     }
 
-    /// Deposits a whole block of pending comparisons without blocking: the
-    /// poll-mode mirror of [`arrive_batch`](Self::arrive_batch), with the
-    /// same single-lock deposit, the same per-key verdicts and the same
-    /// shared batch deadline.
+    /// Deposits a whole block of pending comparisons without blocking,
+    /// under one shard-lock acquisition, with one shared deadline.  Keys
+    /// whose rendezvous completes at deposit resolve there; the batch is
+    /// [`TryBatch::Ready`] when none is left open.
     ///
     /// # Panics
     ///
@@ -1088,7 +1010,7 @@ impl LockstepTable {
         self.try_arrive_batch_inner(variant, batch, timeout, true)
     }
 
-    /// The poll-mode twin of [`rearrive_batch`](Self::rearrive_batch):
+    /// The batched twin of [`try_rearrive`](Self::try_rearrive):
     /// re-deposits the keys with a fresh shared deadline, journaling
     /// nothing.
     pub fn try_rearrive_batch(
@@ -1120,129 +1042,75 @@ impl LockstepTable {
             batch.iter().all(|a| self.shard_of(a.key.0) == shard_idx),
             "a batch must stay within one rendezvous shard"
         );
+        // Hard assert, like the bound and shard checks above: the documented
+        // contract promises a panic, and a silent duplicate would overwrite
+        // the first deposit and double-register a waiter.  O(n²) on n ≤
+        // MAX_BATCH keys, paid once per flush, off the per-call hot path.
         assert!(
             (1..batch.len()).all(|i| batch[..i].iter().all(|a| a.key != batch[i].key)),
             "a batch must not deposit the same slot twice"
         );
-        let deadline = Instant::now() + timeout;
+        let mut token = BatchToken {
+            shard_idx,
+            variant,
+            deadline: Instant::now() + timeout,
+            keys: batch.iter().map(|a| a.key).collect(),
+            holds_waiter: Vec::with_capacity(batch.len()),
+            results: Vec::with_capacity(batch.len()),
+        };
         let shard = &self.shards[shard_idx];
         let mut slots = shard.slots.lock();
         if !self.is_active(variant) {
+            // Quarantined lane: refuse the whole batch, as `try_arrive` would.
             return TryBatch::Ready(vec![ArrivalResult::Poisoned; batch.len()]);
         }
-        let mut token = BatchToken {
-            shard_idx,
-            deadline,
-            keys: batch.iter().map(|a| a.key).collect(),
-            holds_waiter: vec![false; batch.len()],
-            results: vec![None; batch.len()],
-            unresolved: 0,
-        };
-        for (i, arrival) in batch.iter().enumerate() {
-            if journal {
-                self.journal_arrival(arrival.key, variant, &arrival.cmp);
-            }
-            let slot = slots.entry(arrival.key).or_insert_with(|| self.new_slot());
-            slot.deposit(variant, arrival.cmp.clone());
-            if let Some(result) = self.slot_result(slot) {
-                if matches!(result, ArrivalResult::Mismatch(..)) {
-                    slot.mismatch = true;
-                }
-                token.results[i] = Some(result);
-            } else {
-                slot.waiters += 1;
-                token.holds_waiter[i] = true;
-                token.unresolved += 1;
-            }
+        for arrival in batch {
+            let result = self.deposit(
+                &mut slots,
+                arrival.key,
+                variant,
+                arrival.cmp.clone(),
+                journal,
+            );
+            token.holds_waiter.push(result.is_none());
+            token.results.push(result);
         }
+        let resolved = self.check_batch(&mut slots, &mut token);
         shard.changed.notify_all();
-        if token.unresolved > 0 && self.is_poisoned() {
-            for r in token.results.iter_mut().filter(|r| r.is_none()) {
-                *r = Some(ArrivalResult::Poisoned);
-            }
-            token.unresolved = 0;
-        }
-        if token.unresolved == 0 {
-            let results = token.resolve(self, &mut slots);
-            drop(slots);
-            self.notify_observers();
-            return TryBatch::Ready(results);
-        }
         drop(slots);
         self.notify_observers();
-        TryBatch::Pending(token)
+        match resolved {
+            Some(results) => TryBatch::Ready(results),
+            None => TryBatch::Pending(token),
+        }
     }
 
-    /// Checks a pending batch without sleeping: resolves every key that
-    /// completed since the deposit (or since the last poll), fills
-    /// `Poisoned` / `Timeout` verdicts when the table poisons or the batch
-    /// deadline passes, and returns `Ok` — releasing every held waiter
-    /// registration exactly once — as soon as no key is left unresolved.
+    /// Runs a pending batch's check step once, without sleeping: `Ok` with
+    /// every verdict (in batch order, every held registration released)
+    /// once no key is left open, `Err` with the token otherwise.
     pub fn poll_batch(&self, mut token: BatchToken) -> Result<Vec<ArrivalResult>, BatchToken> {
-        let shard = &self.shards[token.shard_idx];
-        let mut slots = shard.slots.lock();
-        if self.is_poisoned() {
-            for r in token.results.iter_mut().filter(|r| r.is_none()) {
-                *r = Some(ArrivalResult::Poisoned);
-            }
-            token.unresolved = 0;
-        } else {
-            for i in 0..token.keys.len() {
-                if token.results[i].is_some() {
-                    continue;
-                }
-                let resolved = match slots.get(&token.keys[i]) {
-                    None => Some(ArrivalResult::Consistent),
-                    Some(slot) => self.slot_result(slot),
-                };
-                if let Some(result) = resolved {
-                    token.results[i] = Some(result);
-                    token.unresolved -= 1;
-                }
-            }
-            if token.unresolved > 0 && Instant::now() >= token.deadline {
-                for i in 0..token.keys.len() {
-                    if token.results[i].is_some() {
-                        continue;
-                    }
-                    token.results[i] = Some(match slots.get(&token.keys[i]) {
-                        None => ArrivalResult::Consistent,
-                        Some(slot) => ArrivalResult::Timeout(Self::arrived_variants(slot)),
-                    });
-                }
-                token.unresolved = 0;
-            }
-        }
-        if token.unresolved == 0 {
-            return Ok(token.resolve(self, &mut slots));
-        }
-        Err(token)
+        let mut slots = self.shards[token.shard_idx].slots.lock();
+        self.check_batch(&mut slots, &mut token).ok_or(token)
     }
 
-    /// Checks for the master's published outcome without blocking.
-    ///
-    /// Mirrors [`wait_outcome`](Self::wait_outcome): `Ready(Some(..))` when
-    /// an outcome is already published, `Ready(None)` when the table is
-    /// poisoned, `Pending` otherwise; poll the token with
+    /// Checks for the master's published outcome without blocking:
+    /// `Ready(Some(..))` when an outcome is already published, `Ready(None)`
+    /// when the table is poisoned, `Pending` otherwise; poll the token with
     /// [`poll_outcome`](Self::poll_outcome).  No waiter registration is
-    /// taken — outcome waits never pin a slot, exactly as on the blocking
-    /// path.
+    /// taken — outcome waits never pin a slot.
     pub fn try_wait_outcome(&self, key: SlotKey, timeout: Duration) -> TryOutcome {
-        let deadline = Instant::now() + timeout;
-        let shard = self.shard(key);
-        let slots = shard.slots.lock();
-        if self.is_poisoned() {
-            return TryOutcome::Ready(None);
+        let token = OutcomeToken {
+            key,
+            deadline: Instant::now() + timeout,
+        };
+        let slots = self.shard(key).slots.lock();
+        match self.check_outcome(&slots, &token) {
+            Some(resolved) => TryOutcome::Ready(resolved),
+            None => TryOutcome::Pending(token),
         }
-        if let Some(slot) = slots.get(&key) {
-            if let Some(outcome) = &slot.outcome {
-                return TryOutcome::Ready(Some((outcome.clone(), slot.timestamp)));
-            }
-        }
-        TryOutcome::Pending(OutcomeToken { key, deadline })
     }
 
-    /// Checks a pending outcome wait without sleeping.
+    /// Runs a pending outcome wait's check step once, without sleeping.
     ///
     /// `Ok(Some(..))` — the outcome arrived; `Ok(None)` — poisoned or the
     /// deadline passed with nothing published (the verdict blocking
@@ -1252,22 +1120,8 @@ impl LockstepTable {
         &self,
         token: OutcomeToken,
     ) -> Result<Option<(SyscallOutcome, Option<u64>)>, OutcomeToken> {
-        let shard = self.shard(token.key);
-        let slots = shard.slots.lock();
-        if self.is_poisoned() {
-            return Ok(None);
-        }
-        if let Some(slot) = slots.get(&token.key) {
-            if let Some(outcome) = &slot.outcome {
-                return Ok(Some((outcome.clone(), slot.timestamp)));
-            }
-        }
-        if Instant::now() >= token.deadline {
-            // The at-the-wire re-check just happened above; nothing was
-            // published.
-            return Ok(None);
-        }
-        Err(token)
+        let slots = self.shard(token.key).slots.lock();
+        self.check_outcome(&slots, &token).ok_or(token)
     }
 }
 
@@ -1277,18 +1131,17 @@ impl LockstepTable {
 pub enum TryArrive {
     /// The rendezvous resolved at deposit time.
     Ready(ArrivalResult),
-    /// Peers are still missing; poll with
-    /// [`LockstepTable::poll_arrival`].
+    /// Peers are still missing; poll with [`LockstepTable::poll_arrival`].
     Pending(ArrivalToken),
 }
 
 /// A pending single-slot arrival: holds the slot's waiter registration
-/// until a [`LockstepTable::poll_arrival`] call resolves it.  The deadline
-/// was fixed when the arrival was deposited, so timeout verdicts match the
-/// blocking path's.
+/// until the check step that resolves it.  The depositing variant and the
+/// deadline were fixed when the arrival was deposited.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ArrivalToken {
     key: SlotKey,
+    variant: usize,
     deadline: Instant,
 }
 
@@ -1316,41 +1169,22 @@ pub enum TryBatch {
 }
 
 /// A pending batched arrival: tracks which keys already resolved (they keep
-/// their verdicts) and holds one waiter registration per initially
-/// unresolved key, all released by the [`LockstepTable::poll_batch`] call
-/// that completes the batch.
+/// their verdicts) and holds one waiter registration per key that was open
+/// at deposit, all released by the check step that completes the batch.
 #[derive(Debug)]
 pub struct BatchToken {
     shard_idx: usize,
+    variant: usize,
     deadline: Instant,
     keys: Vec<SlotKey>,
     holds_waiter: Vec<bool>,
     results: Vec<Option<ArrivalResult>>,
-    unresolved: usize,
 }
 
 impl BatchToken {
     /// When this batch times out (fixed at deposit).
     pub fn deadline(&self) -> Instant {
         self.deadline
-    }
-
-    /// Releases every held waiter registration (the single release site of
-    /// the poll-mode batch path) and unwraps the per-key verdicts.
-    fn resolve(
-        self,
-        table: &LockstepTable,
-        slots: &mut MutexGuard<'_, HashMap<SlotKey, Slot>>,
-    ) -> Vec<ArrivalResult> {
-        for (i, key) in self.keys.iter().enumerate() {
-            if self.holds_waiter[i] {
-                table.release_waiter(slots, *key);
-            }
-        }
-        self.results
-            .into_iter()
-            .map(|r| r.expect("every batch key resolves before return"))
-            .collect()
     }
 }
 
@@ -1919,6 +1753,65 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(table.poll_outcome(token), Ok(None));
+    }
+
+    #[test]
+    fn a_victim_quarantined_mid_wait_resolves_poisoned() {
+        // Variant 2 is quarantined while it waits in three forms.  Its
+        // single and batched tokens wait on slots the survivors complete
+        // with a mismatch against it: the sweep erases its key, after which
+        // the slots read Consistent for the survivors — the victim must not
+        // inherit that verdict.  Its blocked batch waits on slots variant 1
+        // never reaches: the victim must wake Poisoned, not run into its
+        // deadline.
+        let table = Arc::new(LockstepTable::new(3));
+        let good = cmp(Sysno::Brk, b"a");
+        let evil = cmp(Sysno::Mprotect, b"b");
+        let batch_of = |thread: usize, key: &ComparisonKey| -> Vec<BatchArrival> {
+            (0..4u64)
+                .map(|seq| BatchArrival {
+                    key: (thread, seq),
+                    cmp: key.clone(),
+                })
+                .collect()
+        };
+        let timeout = Duration::from_secs(2);
+        let single = match table.try_arrive((0, 0), 2, evil.clone(), timeout) {
+            TryArrive::Pending(t) => t,
+            TryArrive::Ready(r) => panic!("must be pending, got {r:?}"),
+        };
+        let batched = match table.try_arrive_batch(2, &batch_of(1, &evil), timeout) {
+            TryBatch::Pending(t) => t,
+            TryBatch::Ready(r) => panic!("must be pending, got {r:?}"),
+        };
+        let blocked = {
+            let table = Arc::clone(&table);
+            let batch = batch_of(2, &good);
+            std::thread::spawn(move || table.arrive_batch(2, &batch, timeout))
+        };
+        while table.arrivals((2, 0)) != vec![2] {
+            std::thread::yield_now();
+        }
+        // The survivors arrive last: every victim slot resolves Mismatch.
+        for survivor in 0..2 {
+            assert!(matches!(
+                table.try_arrive((0, 0), survivor, good.clone(), timeout),
+                TryArrive::Ready(ArrivalResult::Mismatch(2, ..)) | TryArrive::Pending(_)
+            ));
+            let _ = table.try_arrive_batch(survivor, &batch_of(1, &good), timeout);
+        }
+        let _ = table.try_arrive_batch(0, &batch_of(2, &good), timeout);
+        assert!(table.quarantine(2));
+        assert_eq!(table.poll_arrival(single), Ok(ArrivalResult::Poisoned));
+        assert_eq!(
+            table.poll_batch(batched).expect("resolved"),
+            vec![ArrivalResult::Poisoned; 4]
+        );
+        assert_eq!(
+            blocked.join().unwrap(),
+            vec![ArrivalResult::Poisoned; 4],
+            "the blocked victim must wake Poisoned"
+        );
     }
 
     #[test]

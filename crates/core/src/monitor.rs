@@ -48,14 +48,15 @@ use parking_lot::Mutex;
 
 use mvee_kernel::kernel::Kernel;
 use mvee_kernel::process::Pid;
-use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest, Sysno};
+use mvee_kernel::syscall::{ComparisonKey, SyscallOutcome, SyscallRequest, Sysno};
 use mvee_sync_agent::guards::{WaitStrategy, Waiter};
 
 use crate::config::{Placement, RecoveryPolicy, Transport};
 use crate::divergence::{DivergenceKind, DivergenceReport};
 use crate::journal::{ClassKind, JournalHeader, JournalRecorder, JOURNAL_VERSION};
 use crate::lockstep::{
-    ArrivalResult, BatchArrival, LockstepTable, SlotKey, DEFAULT_SHARDS, MAX_BATCH,
+    ArrivalResult, ArrivalToken, BatchArrival, BatchToken, LockstepTable, SlotKey, TryArrive,
+    TryBatch, DEFAULT_SHARDS, MAX_BATCH,
 };
 use crate::ordering::ShardedOrderingClock;
 use crate::policy::{CallDisposition, MonitoringPolicy};
@@ -103,11 +104,10 @@ pub struct MonitorConfig {
     /// How variant threads hand calls to the monitor (see
     /// [`Transport`](crate::config::Transport)): blocking in the pipeline
     /// directly, or through per-port submission/completion rings drained by
-    /// a gateway worker or a polling pool ([`crate::async_port`],
-    /// [`crate::poller`]).
+    /// a polling pool ([`crate::async_port`], [`crate::poller`]).
     pub transport: Transport,
     /// How the transport's ring waiters (reapers parked on completion
-    /// rings, gateway workers parked on submission rings, polling shards
+    /// rings, variants parked on full submission rings, polling shards
     /// parked on their aggregated wakers) wait: the adaptive
     /// spin → yield → park escalation (default) or the legacy spin-yield
     /// loop.  Mirrors the agents' `AgentConfig::wait` knob so the
@@ -184,10 +184,9 @@ impl std::error::Error for MonitorError {}
 /// How a rendezvous verdict settles once routed through the recovery
 /// policy.  `Retry` only occurs under
 /// [`RecoveryPolicy::Quarantine`](crate::config::RecoveryPolicy): the
-/// verdict was superseded by a quarantine and the caller must re-present
-/// its arrival (blocking callers loop on
-/// [`LockstepTable::rearrive`](crate::lockstep::LockstepTable::rearrive);
-/// polling callers re-enter their pending state via `try_rearrive`).
+/// verdict was superseded by a quarantine and the arrival must be
+/// re-presented, which [`Monitor::settle_arrival`] and
+/// [`Monitor::settle_batch`] do.
 #[derive(Debug)]
 pub(crate) enum ArrivalSettle {
     /// The rendezvous is consistent; proceed.
@@ -198,15 +197,16 @@ pub(crate) enum ArrivalSettle {
     Retry,
 }
 
-/// How a batch's verdicts settle once routed through the recovery policy.
+/// Where an arrival stands after one settle step
+/// ([`Monitor::settle_arrival`] / [`Monitor::settle_batch`]): settled for
+/// good, or re-deposited after a quarantine and pending on `T`, a lockstep
+/// token to poll or park on before the next step.
 #[derive(Debug)]
-pub(crate) enum BatchSettle {
-    /// Every key settled; the result is the batch's overall outcome.
+pub(crate) enum SettleStep<T> {
+    /// The arrival's final verdict.
     Done(Result<(), MonitorError>),
-    /// These batch indices (in batch order) must be re-presented; their
-    /// slots were deliberately not consumed.  Every other key settled and
-    /// was consumed.
-    Retry(Vec<usize>),
+    /// The re-deposit is still open.
+    Pending(T),
 }
 
 /// Aggregate counters the monitor maintains.
@@ -427,8 +427,8 @@ impl Monitor {
                 batch: config.batch as u16,
             });
             // The table emits the Arrival/Publish records itself — one
-            // choke point all three transports (sync ports, per-port
-            // workers, polling shards) already funnel through.
+            // choke point every transport (sync ports, polling shards, the
+            // follower pump) already funnels through.
             lockstep.set_journal(Arc::clone(recorder));
         }
         Monitor {
@@ -807,46 +807,36 @@ impl Monitor {
             }
             std::mem::take(&mut *pending)
         };
-        self.resolve_batch(variant, thread, state.shard, &batch)
+        self.resolve_batch(variant, thread, state.shard, batch)
     }
 
     /// Deposits a drained batch of deferred comparisons as one
-    /// [`LockstepTable::arrive_batch`] block, consumes the batch slots, and
-    /// turns the first non-consistent per-key result into the divergence it
-    /// proves.  Shared by [`flush_deferred`](Self::flush_deferred) (the
-    /// monitor-owned queues) and [`ThreadPort`](crate::port::ThreadPort)
-    /// (the port-local queues).
+    /// [`LockstepTable::arrive_batch`] block and settles it, parking between
+    /// [`settle_batch`](Self::settle_batch) steps.  Shared by
+    /// [`flush_deferred`](Self::flush_deferred) (the monitor-owned queues)
+    /// and [`ThreadPort`](crate::port::ThreadPort) (the port-local queues).
     pub(crate) fn resolve_batch(
         &self,
         variant: usize,
         thread: usize,
         lane: usize,
-        batch: &[BatchArrival],
+        mut batch: Vec<BatchArrival>,
     ) -> Result<(), MonitorError> {
         self.count_batch_flush(lane);
-        let results = self
+        let mut results = self
             .lockstep
-            .arrive_batch(variant, batch, self.config.lockstep_timeout);
-        let mut batch: Vec<BatchArrival> = batch.to_vec();
-        let mut results = results;
+            .arrive_batch(variant, &batch, self.config.lockstep_timeout);
         loop {
-            match self.settle_batch_results(variant, thread, &batch, results) {
-                BatchSettle::Done(outcome) => return outcome,
-                BatchSettle::Retry(indices) => {
-                    // Re-present only the unsettled keys: the settled ones
-                    // were consumed, and re-depositing them could resurrect
-                    // reclaimed slots the peers will never revisit.
-                    batch = indices.into_iter().map(|i| batch[i].clone()).collect();
-                    results =
-                        self.lockstep
-                            .rearrive_batch(variant, &batch, self.config.lockstep_timeout);
-                }
+            match self.settle_batch(variant, thread, &mut batch, results) {
+                SettleStep::Done(outcome) => return outcome,
+                SettleStep::Pending(token) => results = self.lockstep.wait_batch(token),
             }
         }
     }
 
-    /// Counts a batch flush in `lane`'s stripe; the polling shards call this
-    /// where [`resolve_batch`](Self::resolve_batch) would.
+    /// Counts a batch flush in `lane`'s stripe; the polling shards and the
+    /// follower pump call this where [`resolve_batch`](Self::resolve_batch)
+    /// would.
     pub(crate) fn count_batch_flush(&self, lane: usize) {
         self.lane(lane)
             .batch_flushes
@@ -856,76 +846,71 @@ impl Monitor {
         }
     }
 
-    /// Turns a batch's per-key [`ArrivalResult`]s into the first divergence
-    /// they prove, routed through the recovery policy.  Settled slots are
-    /// consumed on the way (even past a mismatch, so surviving slots are
-    /// reclaimed); keys whose verdicts a quarantine superseded are *not*
-    /// consumed and come back as [`BatchSettle::Retry`] indices for the
-    /// caller to re-present.  Shared by the blocking
-    /// [`resolve_batch`](Self::resolve_batch) and the polling shards, whose
-    /// verdicts must map identically.
-    pub(crate) fn settle_batch_results(
+    /// One settle step for a batch: turns the per-key [`ArrivalResult`]s
+    /// into the first divergence they prove, routed through the recovery
+    /// policy, and re-deposits the keys whose verdicts a quarantine
+    /// superseded.  Settled slots are consumed on the way (even past a
+    /// mismatch, so surviving slots are reclaimed).  `batch` is narrowed in
+    /// place to the re-presented keys — the settled ones were consumed, and
+    /// re-depositing them could resurrect reclaimed slots the peers will
+    /// never revisit — so a [`SettleStep::Pending`] token's verdicts line up
+    /// with it for the next step.  The one copy of this loop: the blocking
+    /// [`resolve_batch`](Self::resolve_batch), the polling shards and the
+    /// follower pump all step through it.
+    pub(crate) fn settle_batch(
         &self,
         caller: usize,
         thread: usize,
-        batch: &[BatchArrival],
-        results: Vec<ArrivalResult>,
-    ) -> BatchSettle {
-        let mut failure = None;
-        let mut retries: Vec<usize> = Vec::new();
-        for (i, (arrival, result)) in batch.iter().zip(results).enumerate() {
-            if failure.is_some() {
-                // Consume every remaining slot past a failure so the
-                // surviving slots are reclaimed rather than leaked.
-                self.lockstep.consume(arrival.key, caller);
-                continue;
-            }
-            let sequence = arrival.key.1 & !DEFERRED_SEQ_BIT;
-            let settle = match result {
-                ArrivalResult::Consistent => ArrivalSettle::Done,
-                ArrivalResult::Mismatch(bad_variant, master_key, bad_key) => self.fault(
-                    caller,
-                    bad_variant,
-                    DivergenceReport {
-                        kind: DivergenceKind::SyscallMismatch {
-                            master: master_key.no,
-                            variant: bad_key.no,
-                        },
-                        thread,
-                        sequence,
-                        variant: bad_variant,
-                    },
-                ),
-                ArrivalResult::Timeout(arrived) => {
-                    if self.has_diverged() {
-                        ArrivalSettle::Fail(MonitorError::ShutDown)
-                    } else {
-                        self.timeout_fault(caller, thread, sequence, arrived)
-                    }
-                }
-                ArrivalResult::Poisoned => ArrivalSettle::Fail(MonitorError::ShutDown),
-            };
-            match settle {
-                ArrivalSettle::Done => self.lockstep.consume(arrival.key, caller),
-                ArrivalSettle::Fail(error) => {
+        batch: &mut Vec<BatchArrival>,
+        mut results: Vec<ArrivalResult>,
+    ) -> SettleStep<BatchToken> {
+        loop {
+            let mut failure = None;
+            let mut retries: Vec<usize> = Vec::new();
+            for (i, (arrival, result)) in batch.iter().zip(results).enumerate() {
+                if failure.is_some() {
+                    // Consume every remaining slot past a failure so the
+                    // surviving slots are reclaimed rather than leaked.
                     self.lockstep.consume(arrival.key, caller);
-                    failure = Some(error);
+                    continue;
                 }
-                ArrivalSettle::Retry => retries.push(i),
+                let settle = match result {
+                    ArrivalResult::Timeout(_) if self.has_diverged() => {
+                        ArrivalSettle::Fail(MonitorError::ShutDown)
+                    }
+                    result => {
+                        let sequence = arrival.key.1 & !DEFERRED_SEQ_BIT;
+                        self.arrival_verdict(result, caller, thread, sequence)
+                    }
+                };
+                match settle {
+                    ArrivalSettle::Done => self.lockstep.consume(arrival.key, caller),
+                    ArrivalSettle::Fail(error) => {
+                        self.lockstep.consume(arrival.key, caller);
+                        failure = Some(error);
+                    }
+                    ArrivalSettle::Retry => retries.push(i),
+                }
             }
-        }
-        if let Some(error) = failure {
-            // The run is over (or this lane is): nothing will re-present
-            // the retry-marked keys, so consume them too.
-            for i in retries {
-                self.lockstep.consume(batch[i].key, caller);
+            if let Some(error) = failure {
+                // The run is over (or this lane is): nothing will re-present
+                // the retry-marked keys, so consume them too.
+                for i in retries {
+                    self.lockstep.consume(batch[i].key, caller);
+                }
+                return SettleStep::Done(Err(error));
             }
-            return BatchSettle::Done(Err(error));
-        }
-        if retries.is_empty() {
-            BatchSettle::Done(Ok(()))
-        } else {
-            BatchSettle::Retry(retries)
+            if retries.is_empty() {
+                return SettleStep::Done(Ok(()));
+            }
+            *batch = retries.iter().map(|&i| batch[i].clone()).collect();
+            match self
+                .lockstep
+                .try_rearrive_batch(caller, batch, self.config.lockstep_timeout)
+            {
+                TryBatch::Ready(redone) => results = redone,
+                TryBatch::Pending(token) => return SettleStep::Pending(token),
+            }
         }
     }
 
@@ -1070,43 +1055,65 @@ impl Monitor {
         }
     }
 
-    /// The synchronous (unbatched) lockstep rendezvous for one call.
+    /// The synchronous (unbatched) lockstep rendezvous for call `seq` of
+    /// `thread`: deposit, then park between
+    /// [`settle_arrival`](Self::settle_arrival) steps.
     pub(crate) fn arrive_sync(
         &self,
-        key: SlotKey,
         variant: usize,
         thread: usize,
         seq: u64,
         req: &SyscallRequest,
     ) -> Result<(), MonitorError> {
-        let cmp = req.comparison_key();
-        let mut result =
-            self.lockstep
-                .arrive(key, variant, cmp.clone(), self.config.lockstep_timeout);
+        let mut result = self.lockstep.arrive(
+            (thread, seq),
+            variant,
+            req.comparison_key(),
+            self.config.lockstep_timeout,
+        );
         loop {
-            match self.settle_sync_arrival(result, variant, thread, seq) {
-                ArrivalSettle::Done => return Ok(()),
-                ArrivalSettle::Fail(error) => return Err(error),
-                ArrivalSettle::Retry => {
-                    result = self.lockstep.rearrive(
-                        key,
-                        variant,
-                        cmp.clone(),
-                        self.config.lockstep_timeout,
-                    );
-                }
+            match self.settle_arrival(result, variant, thread, seq, || req.comparison_key()) {
+                SettleStep::Done(outcome) => return outcome,
+                SettleStep::Pending(token) => result = self.lockstep.wait_arrival(token),
             }
         }
     }
 
-    /// Turns a synchronous (unbatched) rendezvous verdict into the
-    /// divergence it proves, routed through the recovery policy.  Shared by
-    /// [`arrive_sync`](Self::arrive_sync) and the polling shards so both
-    /// transports report byte-identical divergence verdicts; a
-    /// [`ArrivalSettle::Retry`] tells the caller a quarantine superseded
-    /// the verdict and the arrival must be re-presented
-    /// (`rearrive`/`try_rearrive`).
-    pub(crate) fn settle_sync_arrival(
+    /// One settle step for a synchronous arrival at slot `(thread, seq)`:
+    /// routes the verdict through the recovery policy and, when a
+    /// quarantine superseded it, re-deposits `cmp()` with a fresh deadline.
+    /// The one copy of this loop: the blocking
+    /// [`arrive_sync`](Self::arrive_sync), the polling shards and the
+    /// follower pump all step through it, so every transport reports
+    /// byte-identical divergence verdicts.
+    pub(crate) fn settle_arrival(
+        &self,
+        mut result: ArrivalResult,
+        caller: usize,
+        thread: usize,
+        seq: u64,
+        cmp: impl Fn() -> ComparisonKey,
+    ) -> SettleStep<ArrivalToken> {
+        loop {
+            match self.arrival_verdict(result, caller, thread, seq) {
+                ArrivalSettle::Done => return SettleStep::Done(Ok(())),
+                ArrivalSettle::Fail(error) => return SettleStep::Done(Err(error)),
+                ArrivalSettle::Retry => match self.lockstep.try_rearrive(
+                    (thread, seq),
+                    caller,
+                    cmp(),
+                    self.config.lockstep_timeout,
+                ) {
+                    TryArrive::Ready(next) => result = next,
+                    TryArrive::Pending(token) => return SettleStep::Pending(token),
+                },
+            }
+        }
+    }
+
+    /// Turns one rendezvous verdict into the divergence it proves, routed
+    /// through the recovery policy.
+    fn arrival_verdict(
         &self,
         result: ArrivalResult,
         caller: usize,
@@ -1246,7 +1253,7 @@ impl Monitor {
                     self.flush_deferred(variant, thread)?;
                 }
             } else {
-                self.arrive_sync(key, variant, thread, seq, req)?;
+                self.arrive_sync(variant, thread, seq, req)?;
             }
         }
 

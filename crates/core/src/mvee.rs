@@ -18,9 +18,7 @@ use mvee_sync_agent::context::{AgentConfig, SyncContext, VariantRole};
 use mvee_sync_agent::{AgentStats, SyncAgent};
 
 use crate::async_port::AsyncThreadPort;
-use crate::config::{
-    MveeConfig, Placement, Pollers, RecoveryPolicy, Transport, DEFAULT_RING_DEPTH,
-};
+use crate::config::{MveeConfig, Placement, Pollers, RecoveryPolicy, Transport};
 use crate::divergence::DivergenceReport;
 use crate::journal::{Journal, JournalError, ReplayError};
 use crate::monitor::{Monitor, MonitorConfig, MonitorError, MonitorStats};
@@ -208,8 +206,8 @@ impl MveeBuilder {
 
     /// Selects the variant↔monitor transport: [`Transport::Sync`] (the
     /// default — calls block inline in the monitor pipeline) or
-    /// [`Transport::AsyncRings`] (per-port submission/completion rings with
-    /// a monitor-side gateway worker; see
+    /// [`Transport::AsyncRings`] (per-port submission/completion rings
+    /// drained by a polling pool; see
     /// [`AsyncThreadPort`](crate::async_port::AsyncThreadPort)).
     ///
     /// # Panics
@@ -333,7 +331,7 @@ impl MveeBuilder {
         let journal_recorder = self.config.journal.recorder().cloned();
         // Snapshots are taken from inside the same hook, right after the
         // flush: the replication point is the one choke point every
-        // transport — blocking ports, gateway workers, poller pools, the
+        // transport — blocking ports, poller pools, the
         // remote leader — funnels through, so the capture boundary is
         // identical no matter how the variant's calls reach the monitor.
         let snapshots = self
@@ -451,7 +449,7 @@ pub struct Mvee {
     pids: Vec<Pid>,
     variants: usize,
     threads: usize,
-    /// The shared polling shards (`Pollers::Pool(n)` transports only).
+    /// The shared polling shards (`Transport::AsyncRings` only).
     pollers: Option<Arc<PollerPool>>,
     /// The journal mode the MVEE was built with (see [`crate::journal`]).
     journal: crate::journal::JournalMode,
@@ -560,8 +558,9 @@ impl Mvee {
     }
 
     /// Number of monitor-side poller threads: `n` under
-    /// `Pollers::Pool(n)` — independent of variants×threads — and `0` for
-    /// the sync and per-port transports (which spawn no shared pollers).
+    /// `Pollers::Pool(n)`, the resolved size under `Pollers::Auto` —
+    /// independent of variants×threads either way — and `0` for the sync
+    /// and remote transports (which spawn no pollers).
     pub fn poller_threads(&self) -> usize {
         self.pollers.as_ref().map_or(0, |p| p.worker_count())
     }
@@ -580,13 +579,13 @@ impl Mvee {
 
     /// Acquires the [`AsyncThreadPort`] for logical thread `thread` of
     /// variant `variant`: the ring-based transport, with the depth taken
-    /// from the configured [`Transport`] (or the default depth when the
-    /// MVEE was built with the synchronous transport).  Shorthand for
+    /// from the configured [`Transport::AsyncRings`].  Shorthand for
     /// `mvee.gateway(variant).async_thread(thread)`.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range indices or if a live port already owns this
+    /// Panics when the MVEE was not built with [`Transport::AsyncRings`],
+    /// on out-of-range indices, or if a live port already owns this
     /// (variant, thread).
     pub fn async_thread_port(&self, variant: usize, thread: usize) -> AsyncThreadPort {
         self.gateway(variant).async_thread(thread)
@@ -834,44 +833,33 @@ impl VariantGateway {
 
     /// Acquires the [`AsyncThreadPort`] for logical thread `thread`: the
     /// asynchronous ring transport (see the [`async_port`](crate::async_port)
-    /// module docs).  The ring depth comes from the monitor's configured
-    /// [`Transport`]; an MVEE built with [`Transport::Sync`] still hands out
-    /// async ports on request, at the default depth, which is how the
-    /// equivalence harness runs both transports against one configuration.
+    /// module docs), at the ring depth of the configured
+    /// [`Transport::AsyncRings`] and served by the MVEE's polling pool.
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range thread index or if a live port already
-    /// owns this (variant, thread).
+    /// Panics when the MVEE was not built with [`Transport::AsyncRings`],
+    /// on an out-of-range thread index, or if a live port already owns this
+    /// (variant, thread).
     pub fn async_thread(&self, thread: usize) -> AsyncThreadPort {
-        assert!(
-            !(self.remote.is_some() && self.variant == 0),
-            "variant 0 of a distributed MVEE is the remote leader: use \
-             leader_thread / Mvee::leader_port instead of an in-proc port"
-        );
+        let pool = self
+            .pollers
+            .as_ref()
+            .expect("async_thread requires Transport::AsyncRings");
         let depth = self
             .monitor
             .config()
             .transport
             .depth()
-            .unwrap_or(DEFAULT_RING_DEPTH);
-        match &self.pollers {
-            Some(pool) => AsyncThreadPort::new_pooled(
-                Arc::clone(&self.monitor),
-                Arc::clone(&self.agent),
-                self.variant,
-                thread,
-                depth,
-                pool,
-            ),
-            None => AsyncThreadPort::new(
-                Arc::clone(&self.monitor),
-                Arc::clone(&self.agent),
-                self.variant,
-                thread,
-                depth,
-            ),
-        }
+            .expect("an async MVEE has a ring depth");
+        AsyncThreadPort::new(
+            Arc::clone(&self.monitor),
+            Arc::clone(&self.agent),
+            self.variant,
+            thread,
+            depth,
+            pool,
+        )
     }
 
     /// Acquires the [`LeaderPort`](crate::remote::LeaderPort) for logical
@@ -1138,7 +1126,7 @@ mod tests {
             .batch(8)
             .transport(Transport::AsyncRings {
                 depth: 4,
-                pollers: Pollers::PerPort,
+                pollers: Pollers::Pool(1),
             })
             .manual_clock(true)
             .build();
@@ -1154,7 +1142,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_transport_spawns_exactly_n_pollers_and_no_port_workers() {
+    fn pool_transport_spawns_exactly_n_pollers() {
         let mvee = Mvee::builder()
             .variants(4)
             .threads(4)
@@ -1171,23 +1159,28 @@ mod tests {
                 ports.push(mvee.async_thread_port(v, t));
             }
         }
-        assert!(
-            ports.iter().all(|p| !p.has_dedicated_worker()),
-            "pooled ports must not spawn gateway workers"
-        );
         assert_eq!(
             mvee.poller_threads(),
             2,
             "16 live ports, still exactly 2 monitor-side threads"
         );
-        drop(ports);
-        // Per-port mode keeps the old shape: a worker per port, no pollers.
-        let per_port = Mvee::builder()
+    }
+
+    #[test]
+    fn default_async_transport_is_an_auto_sized_pool() {
+        let mvee = Mvee::builder()
             .variants(2)
             .transport(Transport::async_default())
             .manual_clock(true)
             .build();
-        assert_eq!(per_port.poller_threads(), 0);
-        assert!(per_port.async_thread_port(0, 0).has_dedicated_worker());
+        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(mvee.poller_threads(), Pollers::auto_pool_size(parallelism));
+    }
+
+    #[test]
+    #[should_panic(expected = "async_thread requires Transport::AsyncRings")]
+    fn async_port_on_a_sync_mvee_panics() {
+        let mvee = Mvee::builder().variants(1).manual_clock(true).build();
+        let _ = mvee.async_thread_port(0, 0);
     }
 }

@@ -1,27 +1,21 @@
 //! Polling monitor shards: a fixed pool of poller threads drains many
 //! ports' submission rings through non-blocking rendezvous.
 //!
-//! The per-port gateway worker ([`crate::async_port`]) spends its life
-//! *blocked* — inside a rendezvous, an outcome wait or an ordering turn —
-//! so the monitor side costs variants×threads OS threads, and on a small
-//! CPU budget their context switches eat the latency win the rings bought
-//! (see BASELINES.md).  A shared drain thread could not fix that as long
-//! as rendezvous blocked: cross-thread submission order legitimately
-//! differs between variants (the paper's premise), so a worker stuck in
-//! thread A's rendezvous for variant 0 may be the only thing that could
-//! deposit thread B's arrival, which variant 1 is blocked waiting for —
-//! a circular wait across variants.
-//!
-//! The poll-mode rendezvous primitives ([`LockstepTable::try_arrive`],
+//! A shared drain thread cannot block inside one port's rendezvous:
+//! cross-thread submission order legitimately differs between variants
+//! (the paper's premise), so a drain stuck in thread A's rendezvous for
+//! variant 0 may be the only thing that could deposit thread B's arrival,
+//! which variant 1 is waiting for — a circular wait across variants.  The
+//! poll-mode rendezvous primitives ([`LockstepTable::try_arrive`],
 //! [`LockstepTable::try_arrive_batch`], [`LockstepTable::try_wait_outcome`]
-//! and their `poll_*` mirrors, plus
+//! and their `poll_*` checks, plus
 //! [`SyscallOrderingClock::try_turn`](crate::ordering::SyscallOrderingClock::try_turn))
 //! remove the blocking, and this module builds the event loop on top:
 //!
-//! * [`PollerPool`] owns `n` poller threads (`Pollers::Pool(n)`), created
-//!   with the MVEE and shared by every [`AsyncThreadPort`] the build hands
-//!   out — monitor-side threads are exactly `n`, independent of
-//!   variants×threads.
+//! * [`PollerPool`] owns `n` poller threads (`Pollers::Pool(n)`, or the
+//!   machine-sized `Pollers::Auto`), created with the MVEE and shared by
+//!   every [`AsyncThreadPort`] the build hands out — monitor-side threads
+//!   are exactly `n`, independent of variants×threads.
 //! * Each poller round-robins its assigned ports: drain the submission
 //!   ring → advance the port's state machine one non-blocking step at a
 //!   time (deposit → `Pending(token)` → poll → verdict) → post
@@ -29,11 +23,11 @@
 //!   circular wait above just interleaves.
 //! * The per-port state machine runs the **identical** monitor pipeline —
 //!   `gate_and_count`, the same rendezvous keys and batch discipline, the
-//!   shared verdict settlers (`settle_sync_arrival` /
-//!   `settle_batch_results`, including their quarantine-retry protocol) and
+//!   monitor's settle steps (`Monitor::settle_arrival` /
+//!   `Monitor::settle_batch`, including their quarantine re-deposit) and
 //!   the same timeout attribution with deadlines fixed at deposit — so
-//!   verdicts are byte-identical to the blocking transports by
-//!   construction (`tests/polling_equivalence.rs` proves it by property).
+//!   verdicts are byte-identical to the sync transport by construction
+//!   (`tests/polling_equivalence.rs` proves it by property).
 //! * A poller parks on its [`PollWaker`]'s event count only when every
 //!   ring it serves is empty and every in-flight arrival is pending.  Ring
 //!   pushes raise the waker directly; rendezvous deposits, outcome
@@ -66,10 +60,10 @@ use crate::lockstep::{
     ArrivalResult, ArrivalToken, BatchArrival, BatchToken, OutcomeToken, PollWaker, SlotKey,
     TryArrive, TryBatch, TryOutcome,
 };
-use crate::monitor::{ArrivalSettle, BatchSettle, Monitor, MonitorError, DEFERRED_SEQ_BIT};
+use crate::monitor::{ArrivalSettle, Monitor, MonitorError, SettleStep, DEFERRED_SEQ_BIT};
 use crate::policy::CallDisposition;
 
-/// The completion signal a pooled port's `Drop` waits on: raised once by
+/// The completion signal an async port's `Drop` waits on: raised once by
 /// the poller after the port's `Close` has flushed trailing comparisons
 /// and released the (variant, thread) binding.
 #[derive(Debug, Default)]
@@ -95,7 +89,7 @@ impl TaskDone {
     }
 }
 
-/// What [`PollerPool::register`] hands back to a pooled
+/// What [`PollerPool::register`] hands back to an
 /// [`AsyncThreadPort`](crate::async_port::AsyncThreadPort): the ring pair
 /// the port talks through, the waker of the poller serving it, and the
 /// close signal its `Drop` waits on.
@@ -109,10 +103,9 @@ pub(crate) struct PortRegistration {
 /// A fixed pool of polling monitor shards (see the [module docs](self)).
 ///
 /// Built by [`Mvee`](crate::mvee::Mvee) when the transport is
-/// `Transport::AsyncRings { pollers: Pollers::Pool(n), .. }`; every pooled
-/// async port registers here and is assigned to one of the `n` pollers
+/// `Transport::AsyncRings`; every async port registers here and is assigned to one of the `n` pollers
 /// round-robin.  The pool shuts its pollers down when the last reference —
-/// the `Mvee` plus every live pooled port holds one — is dropped.
+/// the `Mvee` plus every live async port holds one — is dropped.
 pub struct PollerPool {
     shards: Vec<ShardHandle>,
     next: AtomicUsize,
@@ -221,7 +214,7 @@ impl PollerPool {
 
 impl Drop for PollerPool {
     fn drop(&mut self) {
-        // The last reference is gone: every pooled port has closed (each
+        // The last reference is gone: every async port has closed (each
         // held an `Arc<PollerPool>`), so the pollers are idle.  Tell them
         // to exit and join.
         for shard in &self.shards {
@@ -378,8 +371,8 @@ enum AfterFlush {
     ThenClose,
 }
 
-/// Where a port task stands in its current submission — the polling mirror
-/// of the positions a blocking gateway worker sleeps at.
+/// Where a port task stands in its current submission: the positions a
+/// blocking [`ThreadPort`](crate::port::ThreadPort) call sleeps at.
 enum TaskState {
     /// Between submissions.
     Idle,
@@ -404,9 +397,9 @@ enum TaskState {
     },
 }
 
-/// One port served by a poller: the monitor-side half of a pooled
+/// One port served by a poller: the monitor-side half of an
 /// [`AsyncThreadPort`](crate::async_port::AsyncThreadPort), carrying the
-/// same per-thread state a blocking gateway worker keeps on its stack.
+/// same per-thread state a [`ThreadPort`](crate::port::ThreadPort) keeps.
 struct PortTask {
     variant: usize,
     thread: usize,
@@ -638,76 +631,40 @@ impl PortTask {
         self.dispatch(monitor, call)
     }
 
-    /// Resolves a synchronous arrival verdict, re-depositing with a fresh
-    /// deadline whenever the monitor quarantines a peer out of the
-    /// rendezvous — the poll-mode mirror of `arrive_sync`'s retry loop.
-    /// The re-deposit never blocks: a still-pending retry parks the task
-    /// back in [`TaskState::AwaitArrival`].
+    /// Settles a synchronous arrival verdict through the monitor's settle
+    /// step; a quarantine re-deposit that is still open parks the task back
+    /// in [`TaskState::AwaitArrival`].
     fn settle_arrival(&mut self, monitor: &Monitor, result: ArrivalResult, call: CallCtx) -> Step {
-        let mut result = result;
-        loop {
-            match monitor.settle_sync_arrival(result, self.variant, self.thread, call.seq) {
-                ArrivalSettle::Done => return self.dispatch(monitor, call),
-                ArrivalSettle::Fail(e) => {
-                    self.complete(call.ticket, Err(e));
-                    return Step::Progress;
-                }
-                ArrivalSettle::Retry => {
-                    let key: SlotKey = (self.thread, call.seq);
-                    let timeout = monitor.config().lockstep_timeout;
-                    match monitor.lockstep().try_rearrive(
-                        key,
-                        self.variant,
-                        call.req.comparison_key(),
-                        timeout,
-                    ) {
-                        TryArrive::Ready(next) => result = next,
-                        TryArrive::Pending(token) => {
-                            self.state = TaskState::AwaitArrival { token, call };
-                            return Step::Progress;
-                        }
-                    }
-                }
+        match monitor.settle_arrival(result, self.variant, self.thread, call.seq, || {
+            call.req.comparison_key()
+        }) {
+            SettleStep::Done(Ok(())) => self.dispatch(monitor, call),
+            SettleStep::Done(Err(e)) => {
+                self.complete(call.ticket, Err(e));
+                Step::Progress
+            }
+            SettleStep::Pending(token) => {
+                self.state = TaskState::AwaitArrival { token, call };
+                Step::Progress
             }
         }
     }
 
-    /// Resolves a flushed batch's verdicts, re-presenting the unconsumed
-    /// keys of a quarantined peer's rendezvous without blocking — the
-    /// poll-mode mirror of `resolve_batch`'s retry loop.
+    /// Settles a flushed batch's verdicts through the monitor's settle
+    /// step; a quarantine re-deposit that is still open parks the task back
+    /// in [`TaskState::Flushing`].
     fn settle_flush(
         &mut self,
         monitor: &Monitor,
-        batch: Vec<BatchArrival>,
+        mut batch: Vec<BatchArrival>,
         results: Vec<ArrivalResult>,
         next: AfterFlush,
     ) -> Step {
-        let (mut batch, mut results) = (batch, results);
-        loop {
-            match monitor.settle_batch_results(self.variant, self.thread, &batch, results) {
-                BatchSettle::Done(flushed) => return self.after_flush(monitor, flushed, next),
-                BatchSettle::Retry(indices) => {
-                    let sub: Vec<BatchArrival> =
-                        indices.iter().map(|&i| batch[i].clone()).collect();
-                    let timeout = monitor.config().lockstep_timeout;
-                    match monitor
-                        .lockstep()
-                        .try_rearrive_batch(self.variant, &sub, timeout)
-                    {
-                        TryBatch::Ready(redone) => {
-                            batch = sub;
-                            results = redone;
-                        }
-                        TryBatch::Pending(token) => {
-                            self.state = TaskState::Flushing {
-                                token,
-                                batch: sub,
-                                next,
-                            };
-                            return Step::Progress;
-                        }
-                    }
-                }
+        match monitor.settle_batch(self.variant, self.thread, &mut batch, results) {
+            SettleStep::Done(flushed) => self.after_flush(monitor, flushed, next),
+            SettleStep::Pending(token) => {
+                self.state = TaskState::Flushing { token, batch, next };
+                Step::Progress
             }
         }
     }

@@ -216,7 +216,7 @@ impl ThreadPort {
                     self.flush()?;
                 }
             } else {
-                monitor.arrive_sync(key, self.variant, self.thread, seq, req)?;
+                monitor.arrive_sync(self.variant, self.thread, seq, req)?;
             }
         }
 
@@ -245,7 +245,7 @@ impl ThreadPort {
             return Ok(());
         }
         self.monitor
-            .resolve_batch(self.variant, self.thread, self.shard, &batch)
+            .resolve_batch(self.variant, self.thread, self.shard, batch)
     }
 
     /// Brackets the *start* of a sync op: flushes this port's deferred

@@ -51,7 +51,7 @@ use mvee_kernel::syscall::{ComparisonKey, SyscallOutcome};
 
 use crate::frame::{FrameReader, ReadFrameError};
 use crate::lockstep::{ArrivalToken, BatchArrival, BatchToken, PollWaker, TryArrive, TryBatch};
-use crate::monitor::{Monitor, MonitorError};
+use crate::monitor::{Monitor, MonitorError, SettleStep};
 use crate::remote::transport::Duplex;
 use crate::remote::wire::WireRecord;
 use crate::remote::{PeerFailure, PeerFailureKind, RemotePeer};
@@ -834,11 +834,11 @@ fn divergence_blames(monitor: &Monitor, thread: usize, seq: u64) -> bool {
         .is_some_and(|report| report.thread == thread && report.sequence == seq)
 }
 
-/// Settles a resolved synchronous arrival through the shared verdict
-/// settler (identical divergence reports to the in-proc path) and consumes
+/// Settles a resolved synchronous arrival through the monitor's settle
+/// step (identical divergence reports to the in-proc path) and consumes
 /// the slot when no publication will follow — mirroring the in-proc
-/// master's `dispatch_resolved` consume.  A quarantine retry re-deposits
-/// the leader's key without blocking and parks the record again.
+/// master's `dispatch_resolved` consume.  A quarantine re-deposit that is
+/// still open parks the record again.
 #[allow(clippy::too_many_arguments)]
 fn finish_arrive(
     monitor: &Monitor,
@@ -852,67 +852,52 @@ fn finish_arrive(
     result: crate::lockstep::ArrivalResult,
     cmp: ComparisonKey,
 ) -> Polled {
-    let mut result = result;
-    loop {
-        let lagged = match monitor.settle_sync_arrival(result, 0, thread, seq) {
-            crate::monitor::ArrivalSettle::Done => {
-                if !will_publish {
-                    monitor.lockstep().consume((thread, seq), 0);
-                }
-                None
+    let lagged = match monitor.settle_arrival(result, 0, thread, seq, || cmp.clone()) {
+        SettleStep::Pending(token) => {
+            return Polled::Still(Pending {
+                index,
+                sync_ops_at_ingest,
+                op: PendingOp::Arrive {
+                    token,
+                    seq,
+                    will_publish,
+                    stat_lane,
+                    cmp,
+                },
+            });
+        }
+        SettleStep::Done(Ok(())) => {
+            if !will_publish {
+                monitor.lockstep().consume((thread, seq), 0);
             }
-            crate::monitor::ArrivalSettle::Retry => {
-                let timeout = monitor.config().lockstep_timeout;
-                match monitor
-                    .lockstep()
-                    .try_rearrive((thread, seq), 0, cmp.clone(), timeout)
-                {
-                    TryArrive::Ready(next) => {
-                        result = next;
-                        continue;
-                    }
-                    TryArrive::Pending(token) => {
-                        return Polled::Still(Pending {
-                            index,
-                            sync_ops_at_ingest,
-                            op: PendingOp::Arrive {
-                                token,
-                                seq,
-                                will_publish,
-                                stat_lane,
-                                cmp,
-                            },
-                        });
-                    }
-                }
-            }
-            crate::monitor::ArrivalSettle::Fail(MonitorError::Diverged(_)) => {
-                Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
-            }
-            crate::monitor::ArrivalSettle::Fail(_) if divergence_blames(monitor, thread, seq) => {
-                Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
-            }
-            crate::monitor::ArrivalSettle::Fail(_) => None,
-        };
-        return Polled::Done { index, lagged };
-    }
+            None
+        }
+        SettleStep::Done(Err(MonitorError::Diverged(_))) => {
+            Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
+        }
+        SettleStep::Done(Err(_)) if divergence_blames(monitor, thread, seq) => {
+            Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
+        }
+        SettleStep::Done(Err(_)) => None,
+    };
+    Polled::Done { index, lagged }
 }
 
-/// Settles a resolved batch through the shared batch settler (which
-/// consumes every batch slot itself), re-presenting the unconsumed keys of
-/// a quarantined peer's rendezvous without blocking.
+/// Settles a resolved batch through the monitor's settle step (which
+/// consumes every settled batch slot itself); a quarantine re-deposit that
+/// is still open parks the record again.
 #[allow(clippy::too_many_arguments)]
 fn finish_batch(
     monitor: &Monitor,
     thread: usize,
     index: u64,
-    batch: Vec<BatchArrival>,
+    mut batch: Vec<BatchArrival>,
     stat_lane: usize,
     sync_ops_at_ingest: u64,
     sync_ops_seen: u64,
     results: Vec<crate::lockstep::ArrivalResult>,
 ) -> Polled {
-    fn blamed(monitor: &Monitor, thread: usize, batch: &[BatchArrival]) -> bool {
+    let blamed = |batch: &[BatchArrival]| {
         batch.iter().any(|arrival| {
             divergence_blames(
                 monitor,
@@ -920,41 +905,27 @@ fn finish_batch(
                 arrival.key.1 & !crate::monitor::DEFERRED_SEQ_BIT,
             )
         })
-    }
-    let (mut batch, mut results) = (batch, results);
-    loop {
-        let lagged = match monitor.settle_batch_results(0, thread, &batch, results) {
-            crate::monitor::BatchSettle::Done(Ok(())) => None,
-            crate::monitor::BatchSettle::Retry(indices) => {
-                let sub: Vec<BatchArrival> = indices.iter().map(|&i| batch[i].clone()).collect();
-                let timeout = monitor.config().lockstep_timeout;
-                match monitor.lockstep().try_rearrive_batch(0, &sub, timeout) {
-                    TryBatch::Ready(redone) => {
-                        batch = sub;
-                        results = redone;
-                        continue;
-                    }
-                    TryBatch::Pending(token) => {
-                        return Polled::Still(Pending {
-                            index,
-                            sync_ops_at_ingest,
-                            op: PendingOp::Batch {
-                                token,
-                                batch: sub,
-                                stat_lane,
-                            },
-                        });
-                    }
-                }
-            }
-            crate::monitor::BatchSettle::Done(Err(MonitorError::Diverged(_))) => {
-                Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
-            }
-            crate::monitor::BatchSettle::Done(Err(_)) if blamed(monitor, thread, &batch) => {
-                Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
-            }
-            crate::monitor::BatchSettle::Done(Err(_)) => None,
-        };
-        return Polled::Done { index, lagged };
-    }
+    };
+    let lagged = match monitor.settle_batch(0, thread, &mut batch, results) {
+        SettleStep::Pending(token) => {
+            return Polled::Still(Pending {
+                index,
+                sync_ops_at_ingest,
+                op: PendingOp::Batch {
+                    token,
+                    batch,
+                    stat_lane,
+                },
+            });
+        }
+        SettleStep::Done(Ok(())) => None,
+        SettleStep::Done(Err(MonitorError::Diverged(_))) => {
+            Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
+        }
+        SettleStep::Done(Err(_)) if blamed(&batch) => {
+            Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
+        }
+        SettleStep::Done(Err(_)) => None,
+    };
+    Polled::Done { index, lagged }
 }

@@ -31,10 +31,9 @@
 //! Capture happens in the agent replication hook, immediately after a sync
 //! op's deferred comparisons flush (`ReplicationEvent::SyncOp` in
 //! `mvee.rs`).  Every transport funnels through that hook — blocking sync
-//! ports, async gateway workers, poller pools and the remote leader alike —
-//! so the capture point is transport-invariant: the same workload snapshots
-//! at the same sync-op boundaries no matter how its calls reach the
-//! monitor.
+//! ports, poller pools and the remote leader alike — so the capture point
+//! is transport-invariant: the same workload snapshots at the same sync-op
+//! boundaries no matter how its calls reach the monitor.
 //!
 //! # Wire format
 //!

@@ -355,7 +355,7 @@ mod tests {
             .variants(1)
             .transport(mvee_core::config::Transport::AsyncRings {
                 depth: 8,
-                pollers: mvee_core::config::Pollers::PerPort,
+                pollers: mvee_core::config::Pollers::Pool(1),
             })
             .manual_clock(true)
             .build();

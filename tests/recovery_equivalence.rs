@@ -36,8 +36,7 @@ use mvee::kernel::syscall::{SyscallOutcome, SyscallRequest, Sysno};
 use mvee::sync_agent::agents::AgentKind;
 
 /// The two transports under comparison: blocking ports and async rings
-/// drained by a fixed poller pool (the two ends of the transport spectrum;
-/// `PerPort` sits between them and shares the pool's rendezvous plumbing).
+/// drained by a fixed poller pool.
 #[derive(Clone, Copy, PartialEq)]
 enum Path {
     Sync,
@@ -437,4 +436,75 @@ fn divergence_at_the_quorum_floor_poisons_instead_of_quarantining() {
         "at the quorum floor the fallback is the paper's detect-and-kill"
     );
     assert_eq!(mvee.monitor_stats().quarantines, 1);
+}
+
+/// The victim's own in-flight flush when the survivor arrives last: the
+/// survivor's deposit proves the mismatch, its settle step quarantines
+/// variant 1 and sweeps the victim's key out of the batch slots.  The
+/// victim's still-pending batch must then resolve as the quarantined lane
+/// it is — an error — and never read the survivors' post-sweep
+/// `Consistent` verdict as its own.  Repeated on every transport because
+/// the losing interleaving (victim re-checks after the sweep) is a race.
+#[test]
+fn blamed_victims_in_flight_flush_fails_when_the_survivor_arrives_last() {
+    const RUNS: usize = 20;
+    let transports = [
+        ("sync", Transport::Sync),
+        ("pool1", Transport::async_pool(1)),
+        ("auto", Transport::async_default()),
+    ];
+    for (label, transport) in transports {
+        for run in 0..RUNS {
+            let mvee = Arc::new(
+                Mvee::builder()
+                    .variants(2)
+                    .threads(1)
+                    .agent(AgentKind::Null)
+                    .batch(8)
+                    .transport(transport)
+                    .recovery(RecoveryPolicy::Quarantine { min_quorum: 1 })
+                    .lockstep_timeout(Duration::from_secs(10))
+                    .manual_clock(true)
+                    .build(),
+            );
+            let handles: Vec<_> = (0..2usize)
+                .map(|variant| {
+                    let mvee = Arc::clone(&mvee);
+                    std::thread::spawn(move || {
+                        if variant == 0 {
+                            // The survivor arrives last.
+                            std::thread::sleep(Duration::from_millis(10));
+                        }
+                        let len = if variant == 1 { 2 } else { 1 };
+                        let req = SyscallRequest::new(Sysno::Madvise).with_int(len);
+                        if transport.is_async() {
+                            let port = mvee.async_thread_port(variant, 0);
+                            (port.syscall(&req).is_ok(), port.flush().is_ok())
+                        } else {
+                            let port = mvee.thread_port(variant, 0);
+                            (port.syscall(&req).is_ok(), port.flush().is_ok())
+                        }
+                    })
+                })
+                .collect();
+            let results: Vec<(bool, bool)> = handles
+                .into_iter()
+                .map(|h| h.join().expect("staged divergence thread panicked"))
+                .collect();
+            assert_eq!(
+                results[0],
+                (true, true),
+                "{label} run {run}: the survivor's calls must succeed"
+            );
+            assert!(
+                !results[1].1,
+                "{label} run {run}: the blamed victim's flush returned Ok"
+            );
+            assert_eq!(mvee.quarantined_variants(), vec![1], "{label} run {run}");
+            let reports = mvee.quarantine_reports();
+            assert_eq!(reports.len(), 1, "{label} run {run}");
+            assert_eq!(reports[0].variant, 1, "{label} run {run}: blame");
+            assert_eq!(mvee.divergence(), None, "{label} run {run}");
+        }
+    }
 }
