@@ -94,6 +94,7 @@ use mvee_kernel::syscall::{ComparisonKey, SyscallOutcome};
 use mvee_sync_agent::guards::EventCount;
 
 use crate::divergence::first_mismatch;
+use crate::monitor::DEFERRED_SEQ_BIT;
 
 /// Identifies a monitored call: (logical thread, per-thread sequence number).
 pub type SlotKey = (usize, u64);
@@ -421,6 +422,19 @@ impl LockstepTable {
     /// verify cleanup.
     pub fn live_slots(&self) -> usize {
         self.shards.iter().map(|s| s.slots.lock().len()).sum()
+    }
+
+    /// Live slots in the deferred-comparison keyspace (sequence numbers
+    /// carrying [`DEFERRED_SEQ_BIT`]): batch slots some variant has
+    /// deposited and not every variant has consumed.
+    pub fn live_deferred_slots(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                let slots = s.slots.lock();
+                slots.keys().filter(|k| k.1 & DEFERRED_SEQ_BIT != 0).count()
+            })
+            .sum()
     }
 
     /// Live slot count per shard, for tests and the sharding ablation.

@@ -1,24 +1,27 @@
 //! The monitor: the system-call gateway variants call instead of the kernel.
 //!
 //! In the real ReMon the monitor interposes on system calls with ptrace and a
-//! small in-process broker; in this reproduction every variant thread calls
-//! [`Monitor::syscall`] directly.  The information flow is identical to a
-//! ptrace stop: the monitor sees the call number, the normalized arguments
-//! and the calling (variant, thread) pair, decides whether to compare,
-//! replicate, order or simply forward the call, and only then lets the
-//! variant proceed.
+//! small in-process broker; in this reproduction every variant thread issues
+//! its calls through a port bound to its (variant, thread) once, at
+//! acquisition — a [`ThreadPort`](crate::port::ThreadPort), an
+//! [`AsyncThreadPort`](crate::async_port::AsyncThreadPort) or a remote
+//! [`LeaderPort`](crate::remote::LeaderPort) — and the port drives the
+//! monitor's pipeline.  The information flow is identical to a ptrace stop:
+//! the monitor sees the call number, the normalized arguments and the
+//! calling (variant, thread) pair, decides whether to compare, replicate,
+//! order or simply forward the call, and only then lets the variant proceed.
 //!
 //! # Batched comparisons
 //!
-//! With [`MonitorConfig::batch`] above 1, the monitor defers the comparisons
-//! of *compare-only* calls (see
-//! [`CallDisposition::defer_compare`](crate::policy::CallDisposition)) into a
-//! per-(variant, thread) queue instead of rendezvousing on every call.  The
-//! queue is flushed — deposited into the rendezvous table as one
+//! With [`MonitorConfig::batch`] above 1, a port defers the comparisons of
+//! *compare-only* calls (see
+//! [`CallDisposition::defer_compare`](crate::policy::CallDisposition)) into
+//! its own queue instead of rendezvousing on every call.  The queue is
+//! flushed — deposited into the rendezvous table as one
 //! [`LockstepTable::arrive_batch`] block — when it reaches `batch` entries,
 //! before any synchronous monitored call (so comparisons never reorder
-//! against a replication point), at the agents' replication points (the
-//! front end installs a hook, see `MveeBuilder`), and dropped outright on
+//! against a replication point), at the start of every sync op the port
+//! brackets, and when the port is dropped; it is dropped outright on
 //! divergence (the batched waiters are woken by the poison broadcast).
 //!
 //! Deferred comparisons live in a *disjoint* slot-key space (the sequence
@@ -305,16 +308,10 @@ impl MonitorStats {
     }
 }
 
-/// Per (variant, thread) fast-path state, touched on every monitored call.
-///
-/// Holding the per-thread sequence counter and the thread's precomputed
-/// shard index together keeps the hot path to one cache line of thread-local
-/// monitor state: no shared counter is touched before the call has been
-/// classified.  The 64-byte alignment keeps neighbouring threads' `seq`
-/// counters off each other's cache lines (their `fetch_add`s would otherwise
-/// false-share — the exact contention this refactor removes elsewhere).
+/// Per (variant, thread) port binding: what a port takes over when it is
+/// acquired and hands back when it drops.  Ports cache all of it, so the
+/// per-call hot path never touches this state.
 #[derive(Debug)]
-#[repr(align(64))]
 struct ThreadState {
     /// Next per-thread sequence number for monitored calls.
     seq: AtomicU64,
@@ -326,15 +323,9 @@ struct ThreadState {
     /// (variant, thread)'s gateway state.  At most one port may be live at a
     /// time — the port keeps the sequence counter and deferred queue in
     /// thread-local storage, and a second writer would corrupt the key
-    /// stream.  The flag also hands the counter back on port drop.
+    /// stream.  While the flag is set, `seq` is stale: the port hands its
+    /// counter back on drop.
     port_live: AtomicBool,
-    /// Deferred comparisons awaiting the next batch flush.  In steady state
-    /// only this (variant, thread)'s own calls — and the agent's
-    /// replication-point hook, which runs on the same OS thread — touch the
-    /// queue, so the mutex is uncontended; the lock only arbitrates against
-    /// the divergence path dropping every queue.  A live `ThreadPort`
-    /// bypasses this queue entirely: the port owns its batch locally.
-    pending: Mutex<Vec<BatchArrival>>,
 }
 
 /// The MVEE monitor.
@@ -348,7 +339,7 @@ pub struct Monitor {
     /// out timestamps; each slave's clocks gate execution (§4.1), one clock
     /// per thread-group shard.
     ordering_clocks: Vec<ShardedOrderingClock>,
-    /// Per (variant, thread) fast-path state.
+    /// Per (variant, thread) port bindings.
     threads: Vec<ThreadState>,
     /// Per-shard counter lanes (see [`StatLane`]).
     stats: Box<[StatLane]>,
@@ -413,7 +404,6 @@ impl Monitor {
                 seq: AtomicU64::new(0),
                 shard: placement_map[i % config.max_threads],
                 port_live: AtomicBool::new(false),
-                pending: Mutex::new(Vec::new()),
             })
             .collect();
         let mut lockstep =
@@ -531,13 +521,9 @@ impl Monitor {
         }
         reports.push(recorded);
         drop(reports);
-        // Drop the victim's monitor-owned deferred comparisons (its
-        // port-local queues die with the refused flush), then sweep it out
-        // of the rendezvous table — this wakes every survivor blocked on a
-        // slot the victim will never complete.
-        for thread in 0..self.config.max_threads {
-            self.thread_state(blamed, thread).pending.lock().clear();
-        }
+        // Sweep the victim out of the rendezvous table (its port-local
+        // queues die with the refused flush) — this wakes every survivor
+        // blocked on a slot the victim will never complete.
         self.lockstep.quarantine(blamed);
         if let Some(hook) = &*self.lane_hook.lock() {
             hook(blamed, false);
@@ -551,8 +537,9 @@ impl Monitor {
     /// flag, and re-admits it into the lockstep expected-arrival set.
     ///
     /// The caller (`Mvee::respawn_variant`) must guarantee quiescence — no
-    /// survivor call in flight — or the fast-forwarded counters could trail
-    /// slots the survivors have already reclaimed.
+    /// survivor call in flight and no live port, see
+    /// [`live_port`](Self::live_port) — or the fast-forwarded counters could
+    /// trail slots the survivors have already reclaimed.
     ///
     /// # Panics
     ///
@@ -627,10 +614,13 @@ impl Monitor {
         self.lockstep.shard_count()
     }
 
-    /// Total deferred comparisons currently pending across every (variant,
-    /// thread) queue; tests use this to verify flush and abandon behaviour.
+    /// Deferred comparisons the rendezvous table still holds: batch slots
+    /// (the [`DEFERRED_SEQ_BIT`] keyspace) that some variant has flushed
+    /// and not every variant has consumed.  Ports keep their queues until
+    /// a flush, so this is the only place a deferred comparison is visible
+    /// to the monitor; zero once every flushed batch has settled.
     pub fn live_deferred(&self) -> usize {
-        self.threads.iter().map(|t| t.pending.lock().len()).sum()
+        self.lockstep.live_deferred_slots()
     }
 
     /// Live waiter registrations in the rendezvous table; zero once every
@@ -705,8 +695,19 @@ impl Monitor {
         (state.seq.load(Ordering::Acquire), state.shard)
     }
 
-    /// Hands a dropped port's sequence counter back so a later port (or the
-    /// legacy index-addressed path) continues the per-thread key stream.
+    /// The first (variant, thread) a live port currently owns, if any.
+    /// [`readmit_variant`](Self::readmit_variant) reads the per-thread
+    /// frontier from `ThreadState::seq`, which a live port has not handed
+    /// back yet.
+    pub(crate) fn live_port(&self) -> Option<(usize, usize)> {
+        self.threads
+            .iter()
+            .position(|state| state.port_live.load(Ordering::Acquire))
+            .map(|i| (i / self.config.max_threads, i % self.config.max_threads))
+    }
+
+    /// Hands a dropped port's sequence counter back so a later port
+    /// continues the per-thread key stream.
     pub(crate) fn release_port(&self, variant: usize, thread: usize, next_seq: u64) {
         let state = self.thread_state(variant, thread);
         state.seq.store(next_seq, Ordering::Release);
@@ -759,62 +760,19 @@ impl Monitor {
         self.diverged.store(true, Ordering::Release);
         // Wake every thread blocked in a rendezvous or replication wait so
         // the whole MVEE shuts down promptly (this also resolves every
-        // batched waiter), drop the deferred comparisons that will never be
-        // flushed, then let the front end poison the agent so replay waits
-        // abort too.
+        // batched waiter), then let the front end poison the agent so
+        // replay waits abort too.
         self.lockstep.poison();
-        self.abandon_deferred();
         if let Some(hook) = &*self.poison_hook.lock() {
             hook();
         }
         MonitorError::Diverged(report)
     }
 
-    /// Drops every thread's deferred comparisons without resolving them.
-    ///
-    /// Called on divergence/poison: the table is (about to be) poisoned, so
-    /// the deposits would only come back [`ArrivalResult::Poisoned`], and
-    /// the variants are shutting down anyway.  Peers already blocked in a
-    /// batch flush are woken by the poison broadcast.
-    pub fn abandon_deferred(&self) {
-        for state in self.threads.iter() {
-            state.pending.lock().clear();
-        }
-    }
-
-    /// Flushes (variant, thread)'s deferred comparisons, if any: deposits
-    /// them as one [`LockstepTable::arrive_batch`] block, consumes the batch
-    /// slots, and turns the first non-consistent per-key result into the
-    /// divergence it proves.
-    ///
-    /// Called from the syscall gateway (batch full, or a synchronous call
-    /// needs the comparisons resolved first) and from the agents'
-    /// replication-point hook.
-    pub fn flush_deferred(&self, variant: usize, thread: usize) -> Result<(), MonitorError> {
-        let state = self.thread_state(variant, thread);
-        // While a ThreadPort owns this (variant, thread) the monitor-side
-        // queue is unused — the port batches locally and flushes inline
-        // before its own sync ops — so the agents' replication hook (which
-        // still fires for every batched front end) must not pay a mutex
-        // acquisition here just to find the queue empty.
-        if state.port_live.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let batch = {
-            let mut pending = state.pending.lock();
-            if pending.is_empty() {
-                return Ok(());
-            }
-            std::mem::take(&mut *pending)
-        };
-        self.resolve_batch(variant, thread, state.shard, batch)
-    }
-
     /// Deposits a drained batch of deferred comparisons as one
     /// [`LockstepTable::arrive_batch`] block and settles it, parking between
-    /// [`settle_batch`](Self::settle_batch) steps.  Shared by
-    /// [`flush_deferred`](Self::flush_deferred) (the monitor-owned queues)
-    /// and [`ThreadPort`](crate::port::ThreadPort) (the port-local queues).
+    /// [`settle_batch`](Self::settle_batch) steps: the blocking flush of a
+    /// [`ThreadPort`](crate::port::ThreadPort)'s queue.
     pub(crate) fn resolve_batch(
         &self,
         variant: usize,
@@ -1175,91 +1133,6 @@ impl Monitor {
         Ok(self.kernel.execute(self.pids[variant], thread as u64, req))
     }
 
-    /// The legacy index-addressed entry point: thread `thread` of variant
-    /// `variant` issues the system call described by `req`.
-    ///
-    /// Returns the outcome the variant observes, or an error instructing the
-    /// variant to terminate.
-    ///
-    /// This path re-resolves the `(variant, thread)` pair — bounds asserts,
-    /// `ThreadState` indexing, a shared sequence counter and a mutex-guarded
-    /// deferred queue — on **every** call.  New code should acquire a
-    /// [`ThreadPort`](crate::port::ThreadPort) once (via
-    /// `Mvee::thread_port` / `VariantGateway::thread`) and issue calls
-    /// through it; the port caches all of that state and owns its batch
-    /// queue locally.  This method remains public for the port/index
-    /// equivalence harness and the ablation benchmarks.  Do not interleave
-    /// it with a live `ThreadPort` for the same (variant, thread): the two
-    /// sequence counters would fork the rendezvous key stream.
-    pub fn syscall(
-        &self,
-        variant: usize,
-        thread: usize,
-        req: &SyscallRequest,
-    ) -> Result<SyscallOutcome, MonitorError> {
-        assert!(variant < self.config.variants, "unknown variant index");
-        assert!(
-            thread < self.config.max_threads,
-            "thread index out of range"
-        );
-
-        let state = self.thread_state(variant, thread);
-        let shard = state.shard;
-        if let Some(answered) = self.gate_and_count(variant, thread, shard, req)? {
-            return Ok(answered);
-        }
-
-        let seq = state.seq.fetch_add(1, Ordering::AcqRel);
-        let key: SlotKey = (thread, seq);
-
-        let disposition = self.config.policy.disposition(req.no);
-        let defer = self.config.batch > 1 && disposition.defer_compare;
-
-        // Any synchronous interaction point resolves the deferred
-        // comparisons first, so comparisons stay in per-thread program order
-        // and no replicated result is handed out while a comparison from an
-        // earlier call is still pending.
-        if !defer && (disposition.lockstep || disposition.replicate || disposition.ordered) {
-            self.flush_deferred(variant, thread)?;
-        }
-
-        if disposition.lockstep {
-            self.count_lockstep(shard);
-            if defer {
-                self.count_batched(shard);
-                let full = {
-                    let mut pending = state.pending.lock();
-                    pending.push(BatchArrival {
-                        key: (thread, seq | DEFERRED_SEQ_BIT),
-                        cmp: req.comparison_key(),
-                    });
-                    pending.len() >= self.config.batch
-                };
-                // Close the race with a concurrent divergence: the entry
-                // check above can pass just before another thread records
-                // divergence and `abandon_deferred` clears the queues, and a
-                // push landing after that would neither be flushed (every
-                // later call returns `ShutDown` at the top) nor dropped —
-                // leaking the entry and letting a never-compared call return
-                // `Ok`.  `diverged` is stored before the queues are cleared,
-                // so seeing it clean here means our push is visible to the
-                // abandon, and seeing it set means we must clean up
-                // ourselves.
-                if self.has_diverged() {
-                    state.pending.lock().clear();
-                    return Err(MonitorError::ShutDown);
-                }
-                if full {
-                    self.flush_deferred(variant, thread)?;
-                }
-            } else {
-                self.arrive_sync(variant, thread, seq, req)?;
-            }
-        }
-
-        self.dispatch_resolved(variant, thread, seq, shard, key, disposition, req)
-    }
-
     fn run_replicated(
         &self,
         variant: usize,
@@ -1435,8 +1308,10 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port::ThreadPort;
     use mvee_kernel::syscall::SyscallArg;
     use mvee_kernel::vfs::OpenFlags;
+    use mvee_sync_agent::NullAgent;
     use std::sync::Arc;
 
     fn make_monitor_config(
@@ -1483,12 +1358,28 @@ mod tests {
             .with_arg(SyscallArg::Flags(OpenFlags::READ.bits()))
     }
 
+    /// Acquires the port for (variant, thread) under the Null agent: every
+    /// test call goes through a port held per (variant, thread), exactly as
+    /// a variant thread's calls do.
+    fn port(monitor: &Arc<Monitor>, variant: usize, thread: usize) -> ThreadPort {
+        ThreadPort::new(
+            Arc::clone(monitor),
+            Arc::new(NullAgent::new()),
+            variant,
+            thread,
+        )
+    }
+
+    fn brk_req() -> SyscallRequest {
+        SyscallRequest::new(Sysno::Brk).with_int(0)
+    }
+
     #[test]
     fn self_aware_call_reports_variant_index() {
         let (monitor, _) = make_monitor(3, MonitoringPolicy::StrictLockstep);
         for v in 0..3 {
-            let out = monitor
-                .syscall(v, 0, &SyscallRequest::new(Sysno::MveeSelfAware))
+            let out = port(&monitor, v, 0)
+                .syscall(&SyscallRequest::new(Sysno::MveeSelfAware))
                 .unwrap();
             assert_eq!(out.result, Ok(v as i64));
         }
@@ -1498,9 +1389,9 @@ mod tests {
     #[test]
     fn replicated_open_gives_all_variants_the_same_fd() {
         let (monitor, _) = make_monitor(2, MonitoringPolicy::StrictLockstep);
-        let m = Arc::clone(&monitor);
-        let slave = std::thread::spawn(move || m.syscall(1, 0, &open_req("/input")).unwrap());
-        let master = monitor.syscall(0, 0, &open_req("/input")).unwrap();
+        let slave = port(&monitor, 1, 0);
+        let slave = std::thread::spawn(move || slave.syscall(&open_req("/input")).unwrap());
+        let master = port(&monitor, 0, 0).syscall(&open_req("/input")).unwrap();
         let slave = slave.join().unwrap();
         assert_eq!(master.result, slave.result);
         assert_eq!(master.result, Ok(3));
@@ -1510,25 +1401,16 @@ mod tests {
     #[test]
     fn replicated_read_copies_master_payload_to_slaves() {
         let (monitor, _) = make_monitor(2, MonitoringPolicy::StrictLockstep);
+        let read = || SyscallRequest::new(Sysno::Read).with_fd(3).with_int(4);
         // Both variants open the file first.
-        let m = Arc::clone(&monitor);
+        let slave = port(&monitor, 1, 0);
         let t = std::thread::spawn(move || {
-            m.syscall(1, 0, &open_req("/input")).unwrap();
-            m.syscall(
-                1,
-                0,
-                &SyscallRequest::new(Sysno::Read).with_fd(3).with_int(4),
-            )
-            .unwrap()
+            slave.syscall(&open_req("/input")).unwrap();
+            slave.syscall(&read()).unwrap()
         });
-        monitor.syscall(0, 0, &open_req("/input")).unwrap();
-        let master = monitor
-            .syscall(
-                0,
-                0,
-                &SyscallRequest::new(Sysno::Read).with_fd(3).with_int(4),
-            )
-            .unwrap();
+        let master = port(&monitor, 0, 0);
+        master.syscall(&open_req("/input")).unwrap();
+        let master = master.syscall(&read()).unwrap();
         let slave = t.join().unwrap();
         assert_eq!(master.payload, b"some");
         assert_eq!(slave.payload, b"some");
@@ -1537,19 +1419,15 @@ mod tests {
     #[test]
     fn lockstep_detects_divergent_write_payloads() {
         let (monitor, _) = make_monitor(2, MonitoringPolicy::StrictLockstep);
-        let m = Arc::clone(&monitor);
+        let slave = port(&monitor, 1, 0);
         let slave = std::thread::spawn(move || {
-            m.syscall(
-                1,
-                0,
+            slave.syscall(
                 &SyscallRequest::new(Sysno::Write)
                     .with_fd(1)
                     .with_payload(b"evil"),
             )
         });
-        let master = monitor.syscall(
-            0,
-            0,
+        let master = port(&monitor, 0, 0).syscall(
             &SyscallRequest::new(Sysno::Write)
                 .with_fd(1)
                 .with_payload(b"good"),
@@ -1570,20 +1448,16 @@ mod tests {
         // The attack scenario: the compromised slave issues mprotect while
         // the master issues a write.
         let (monitor, _) = make_monitor(2, MonitoringPolicy::StrictLockstep);
-        let m = Arc::clone(&monitor);
+        let slave = port(&monitor, 1, 0);
         let slave = std::thread::spawn(move || {
-            m.syscall(
-                1,
-                0,
+            slave.syscall(
                 &SyscallRequest::new(Sysno::Mprotect)
                     .with_arg(SyscallArg::Pointer(0x7fff_0000))
                     .with_int(4096)
                     .with_arg(SyscallArg::Flags(7)),
             )
         });
-        let master = monitor.syscall(
-            0,
-            0,
+        let master = port(&monitor, 0, 0).syscall(
             &SyscallRequest::new(Sysno::Write)
                 .with_fd(1)
                 .with_payload(b"response"),
@@ -1596,7 +1470,7 @@ mod tests {
     #[test]
     fn missing_variant_triggers_timeout_divergence() {
         let (monitor, _) = make_monitor(2, MonitoringPolicy::StrictLockstep);
-        let result = monitor.syscall(0, 0, &open_req("/input"));
+        let result = port(&monitor, 0, 0).syscall(&open_req("/input"));
         assert!(result.is_err());
         let report = monitor.divergence().unwrap();
         assert!(matches!(
@@ -1608,23 +1482,18 @@ mod tests {
     #[test]
     fn calls_after_divergence_are_rejected() {
         let (monitor, _) = make_monitor(2, MonitoringPolicy::StrictLockstep);
-        let _ = monitor.syscall(0, 0, &open_req("/input"));
+        let _ = port(&monitor, 0, 0).syscall(&open_req("/input"));
         assert!(monitor.has_diverged());
-        let r = monitor.syscall(0, 1, &SyscallRequest::new(Sysno::SchedYield));
+        let r = port(&monitor, 0, 1).syscall(&SyscallRequest::new(Sysno::SchedYield));
         assert_eq!(r, Err(MonitorError::ShutDown));
     }
 
     #[test]
     fn ordered_brk_executes_in_each_variants_own_address_space() {
         let (monitor, _) = make_monitor(2, MonitoringPolicy::NoComparison);
-        let m = Arc::clone(&monitor);
-        let slave = std::thread::spawn(move || {
-            m.syscall(1, 0, &SyscallRequest::new(Sysno::Brk).with_int(0))
-                .unwrap()
-        });
-        let master = monitor
-            .syscall(0, 0, &SyscallRequest::new(Sysno::Brk).with_int(0))
-            .unwrap();
+        let slave = port(&monitor, 1, 0);
+        let slave = std::thread::spawn(move || slave.syscall(&brk_req()).unwrap());
+        let master = port(&monitor, 0, 0).syscall(&brk_req()).unwrap();
         let slave = slave.join().unwrap();
         // Both get their own break value; with identical layouts they match.
         assert_eq!(master.result, slave.result);
@@ -1636,17 +1505,14 @@ mod tests {
         // Master: thread 0 brk, then thread 1 brk (timestamps 0 and 1).
         // Slave: thread 1 arrives first but must wait for thread 0.
         let (monitor, kernel) = make_monitor(2, MonitoringPolicy::NoComparison);
-        let brk = |m: &Monitor, v: usize, t: usize| {
-            m.syscall(v, t, &SyscallRequest::new(Sysno::Brk).with_int(0))
-        };
-        brk(&monitor, 0, 0).unwrap();
-        brk(&monitor, 0, 1).unwrap();
+        port(&monitor, 0, 0).syscall(&brk_req()).unwrap();
+        port(&monitor, 0, 1).syscall(&brk_req()).unwrap();
 
-        let m = Arc::clone(&monitor);
-        let slave_t1 = std::thread::spawn(move || brk(&m, 1, 1));
+        let slave_t1 = port(&monitor, 1, 1);
+        let slave_t1 = std::thread::spawn(move || slave_t1.syscall(&brk_req()));
         std::thread::sleep(Duration::from_millis(50));
         // Slave thread 1 is stalled on the ordering clock until thread 0 runs.
-        brk(&monitor, 1, 0).unwrap();
+        port(&monitor, 1, 0).syscall(&brk_req()).unwrap();
         slave_t1.join().unwrap().unwrap();
         assert!(!monitor.has_diverged());
         assert_eq!(monitor.stats().ordered_syscalls, 4);
@@ -1656,20 +1522,21 @@ mod tests {
     #[test]
     fn relaxed_policy_skips_lockstep_for_non_sensitive_calls() {
         let (monitor, _) = make_monitor(2, MonitoringPolicy::SecuritySensitiveOnly);
+        let master = port(&monitor, 0, 0);
         // gettimeofday is not security sensitive: the master proceeds without
         // waiting for the slave to arrive.
-        let master = monitor
-            .syscall(0, 0, &SyscallRequest::new(Sysno::Gettimeofday))
+        let master_out = master
+            .syscall(&SyscallRequest::new(Sysno::Gettimeofday))
             .unwrap();
         assert_eq!(monitor.stats().lockstep_syscalls, 0);
         // The slave arrives later and still receives the replicated result.
-        let slave = monitor
-            .syscall(1, 0, &SyscallRequest::new(Sysno::Gettimeofday))
+        let slave = port(&monitor, 1, 0)
+            .syscall(&SyscallRequest::new(Sysno::Gettimeofday))
             .unwrap();
-        assert_eq!(master.payload, slave.payload);
+        assert_eq!(master_out.payload, slave.payload);
         // A sensitive call under the same policy still requires lockstep: the
         // master alone times out into a divergence.
-        let r = monitor.syscall(0, 0, &open_req("/input"));
+        let r = master.syscall(&open_req("/input"));
         assert!(r.is_err());
         assert_eq!(monitor.stats().lockstep_syscalls, 1);
     }
@@ -1677,13 +1544,10 @@ mod tests {
     #[test]
     fn stats_track_call_categories() {
         let (monitor, _) = make_monitor(1, MonitoringPolicy::StrictLockstep);
-        monitor.syscall(0, 0, &open_req("/input")).unwrap();
-        monitor
-            .syscall(0, 0, &SyscallRequest::new(Sysno::Brk).with_int(0))
-            .unwrap();
-        monitor
-            .syscall(0, 0, &SyscallRequest::new(Sysno::SchedYield))
-            .unwrap();
+        let p = port(&monitor, 0, 0);
+        p.syscall(&open_req("/input")).unwrap();
+        p.syscall(&brk_req()).unwrap();
+        p.syscall(&SyscallRequest::new(Sysno::SchedYield)).unwrap();
         let s = monitor.stats();
         assert_eq!(s.total_syscalls, 3);
         assert_eq!(s.replicated_syscalls, 1);
@@ -1711,10 +1575,11 @@ mod tests {
         // still see the master's replicated outcomes.
         let (monitor, _) = make_monitor_sharded(2, MonitoringPolicy::StrictLockstep, 4);
         for thread in 0..2usize {
-            let m = Arc::clone(&monitor);
-            let slave =
-                std::thread::spawn(move || m.syscall(1, thread, &open_req("/input")).unwrap());
-            let master = monitor.syscall(0, thread, &open_req("/input")).unwrap();
+            let slave = port(&monitor, 1, thread);
+            let slave = std::thread::spawn(move || slave.syscall(&open_req("/input")).unwrap());
+            let master = port(&monitor, 0, thread)
+                .syscall(&open_req("/input"))
+                .unwrap();
             assert_eq!(master.result, slave.join().unwrap().result);
         }
         assert!(!monitor.has_diverged());
@@ -1725,19 +1590,17 @@ mod tests {
         // Thread 2's mismatch must promptly wake thread 0's rendezvous even
         // though they wait on different shards.
         let (monitor, _) = make_monitor_sharded(2, MonitoringPolicy::StrictLockstep, 4);
-        let m = Arc::clone(&monitor);
+        let stuck = port(&monitor, 0, 0);
         let stuck = std::thread::spawn(move || {
             // Only variant 0 arrives on thread 0: blocks until poisoned.
-            m.syscall(0, 0, &open_req("/input"))
+            stuck.syscall(&open_req("/input"))
         });
         std::thread::sleep(Duration::from_millis(30));
-        let m = Arc::clone(&monitor);
+        let slave = port(&monitor, 1, 2);
         let slave = std::thread::spawn(move || {
-            m.syscall(1, 2, &SyscallRequest::new(Sysno::Mprotect).with_int(4096))
+            slave.syscall(&SyscallRequest::new(Sysno::Mprotect).with_int(4096))
         });
-        let master = monitor.syscall(
-            0,
-            2,
+        let master = port(&monitor, 0, 2).syscall(
             &SyscallRequest::new(Sysno::Write)
                 .with_fd(1)
                 .with_payload(b"ok"),
@@ -1770,28 +1633,25 @@ mod tests {
             ..MonitorConfig::default()
         };
         let monitor = Arc::new(Monitor::new(config, Arc::clone(&kernel), pids));
-        let brk = |m: &Monitor, v: usize, t: usize| {
-            m.syscall(v, t, &SyscallRequest::new(Sysno::Brk).with_int(0))
-        };
         // Master: thread 0 then thread 1 (timestamps 0 and 1).
-        brk(&monitor, 0, 0).unwrap();
-        brk(&monitor, 0, 1).unwrap();
+        port(&monitor, 0, 0).syscall(&brk_req()).unwrap();
+        port(&monitor, 0, 1).syscall(&brk_req()).unwrap();
         // Slave thread 1 stalls on the ordering clock until slave thread 0
         // runs — which it never will.
-        let m = Arc::clone(&monitor);
+        let stuck = port(&monitor, 1, 1);
         let stuck = std::thread::spawn(move || {
             let start = std::time::Instant::now();
-            let r = brk(&m, 1, 1);
+            let r = stuck.syscall(&brk_req());
             (r, start.elapsed())
         });
         std::thread::sleep(Duration::from_millis(100));
         // Divergence on an unrelated thread: both calls are
         // security-sensitive, so they rendezvous and mismatch.
-        let m = Arc::clone(&monitor);
+        let slave = port(&monitor, 1, 2);
         let slave = std::thread::spawn(move || {
-            m.syscall(1, 2, &SyscallRequest::new(Sysno::Mprotect).with_int(4096))
+            slave.syscall(&SyscallRequest::new(Sysno::Mprotect).with_int(4096))
         });
-        let master = monitor.syscall(0, 2, &open_req("/input"));
+        let master = port(&monitor, 0, 2).syscall(&open_req("/input"));
         assert!(master.is_err() || slave.join().unwrap().is_err());
         let (result, elapsed) = stuck.join().unwrap();
         assert!(result.is_err());
@@ -1807,31 +1667,27 @@ mod tests {
         // must wait for thread 0's earlier ordered call, exactly as in the
         // unsharded design.
         let (monitor, _) = make_monitor_sharded(2, MonitoringPolicy::NoComparison, 4);
-        let brk = |m: &Monitor, v: usize, t: usize| {
-            m.syscall(v, t, &SyscallRequest::new(Sysno::Brk).with_int(0))
-        };
-        brk(&monitor, 0, 0).unwrap();
-        brk(&monitor, 0, 4).unwrap();
+        port(&monitor, 0, 0).syscall(&brk_req()).unwrap();
+        port(&monitor, 0, 4).syscall(&brk_req()).unwrap();
 
-        let m = Arc::clone(&monitor);
-        let slave_t4 = std::thread::spawn(move || brk(&m, 1, 4));
+        let slave_t4 = port(&monitor, 1, 4);
+        let slave_t4 = std::thread::spawn(move || slave_t4.syscall(&brk_req()));
         std::thread::sleep(Duration::from_millis(50));
-        brk(&monitor, 1, 0).unwrap();
+        port(&monitor, 1, 0).syscall(&brk_req()).unwrap();
         slave_t4.join().unwrap().unwrap();
         assert!(!monitor.has_diverged());
         assert_eq!(monitor.stats().ordered_syscalls, 4);
     }
 
     /// Drives `ops` brk calls on thread 0 of every variant (one OS thread
-    /// per variant) and returns the monitor for inspection.
+    /// and one port per variant).
     fn run_brk_stream(monitor: &Arc<Monitor>, variants: usize, ops: u64) {
         let mut handles = Vec::new();
         for variant in 0..variants {
-            let m = Arc::clone(monitor);
+            let p = port(monitor, variant, 0);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..ops {
-                    m.syscall(variant, 0, &SyscallRequest::new(Sysno::Brk).with_int(0))
-                        .unwrap();
+                    p.syscall(&brk_req()).unwrap();
                 }
             }));
         }
@@ -1890,19 +1746,20 @@ mod tests {
         let write = SyscallRequest::new(Sysno::Write)
             .with_fd(1)
             .with_payload(b"flush");
-        let m = Arc::clone(&monitor);
+        let slave = port(&monitor, 1, 0);
         let w = write.clone();
         let slave = std::thread::spawn(move || {
             for len in [4096i64, 8192, 4096] {
-                m.syscall(1, 0, &mprotect(len))?;
+                slave.syscall(&mprotect(len))?;
             }
-            m.syscall(1, 0, &w)
+            slave.syscall(&w)
         });
+        let master = port(&monitor, 0, 0);
         let master = (|| {
             for _ in 0..3 {
-                monitor.syscall(0, 0, &mprotect(4096))?;
+                master.syscall(&mprotect(4096))?;
             }
-            monitor.syscall(0, 0, &write)
+            master.syscall(&write)
         })();
         let slave = slave.join().unwrap();
         assert!(master.is_err() || slave.is_err());
@@ -1927,13 +1784,13 @@ mod tests {
         let (monitor, _) = make_monitor_config(2, MonitoringPolicy::StrictLockstep, 4, 8);
         let mut handles = Vec::new();
         for variant in 0..2 {
-            let m = Arc::clone(&monitor);
+            let p = port(&monitor, variant, 0);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..2 {
-                    m.syscall(variant, 0, &SyscallRequest::new(Sysno::Brk).with_int(0))
-                        .unwrap();
+                    p.syscall(&brk_req()).unwrap();
                 }
-                m.syscall(variant, 0, &open_req("/input")).unwrap()
+                p.syscall(&open_req("/input")).unwrap();
+                assert_eq!(p.pending_comparisons(), 0);
             }));
         }
         for h in handles {
@@ -1947,22 +1804,77 @@ mod tests {
     }
 
     #[test]
-    fn divergence_abandons_deferred_comparisons() {
+    fn divergence_drops_a_ports_deferred_comparisons() {
         let (monitor, _) = make_monitor_config(2, MonitoringPolicy::StrictLockstep, 4, 8);
-        // Variant 0 defers one brk comparison, then only variant 0 arrives
-        // at a synchronous open: rendezvous timeout, divergence.
-        monitor
-            .syscall(0, 0, &SyscallRequest::new(Sysno::Brk).with_int(0))
-            .unwrap();
-        assert_eq!(monitor.live_deferred(), 1);
-        let r = monitor.syscall(0, 0, &open_req("/input"));
+        // Variant 0 defers one brk comparison on thread 0, then only
+        // variant 0 arrives at a synchronous open on thread 1: rendezvous
+        // timeout, divergence.
+        let deferred = port(&monitor, 0, 0);
+        deferred.syscall(&brk_req()).unwrap();
+        assert_eq!(deferred.pending_comparisons(), 1);
+        assert_eq!(monitor.live_deferred(), 0, "nothing flushed yet");
+        let r = port(&monitor, 0, 1).syscall(&open_req("/input"));
         assert!(r.is_err());
         assert!(monitor.has_diverged());
+        assert_eq!(deferred.syscall(&brk_req()), Err(MonitorError::ShutDown));
         assert_eq!(
-            monitor.live_deferred(),
+            deferred.pending_comparisons(),
             0,
             "divergence must drop pending batches"
         );
+        assert_eq!(
+            monitor.live_deferred(),
+            0,
+            "the batch never reached the table"
+        );
+    }
+
+    #[test]
+    fn live_deferred_counts_the_deferred_slots_held_in_the_table() {
+        let (monitor, _) = make_monitor_config(2, MonitoringPolicy::StrictLockstep, 4, 8);
+        let table = monitor.lockstep();
+        let timeout = Duration::from_secs(5);
+        let cmp = brk_req().comparison_key();
+        // A plain (non-deferred) slot both variants reached: live, but not
+        // a deferred comparison.
+        let TryArrive::Pending(plain) = table.try_arrive((0, 0), 0, cmp.clone(), timeout) else {
+            panic!("the first arrival must pend");
+        };
+        assert!(matches!(
+            table.try_arrive((0, 0), 1, cmp.clone(), timeout),
+            TryArrive::Ready(ArrivalResult::Consistent)
+        ));
+        assert_eq!(table.poll_arrival(plain), Ok(ArrivalResult::Consistent));
+        assert_eq!(monitor.live_deferred(), 0);
+        let batch: Vec<BatchArrival> = (0..3u64)
+            .map(|seq| BatchArrival {
+                key: (0, seq | DEFERRED_SEQ_BIT),
+                cmp: cmp.clone(),
+            })
+            .collect();
+        // Variant 0's pending deposit counts its keys.
+        let token = match table.try_arrive_batch(0, &batch, timeout) {
+            TryBatch::Pending(token) => token,
+            TryBatch::Ready(r) => panic!("must be pending, got {r:?}"),
+        };
+        assert_eq!(monitor.live_deferred(), 3);
+        match table.try_arrive_batch(1, &batch, timeout) {
+            TryBatch::Ready(results) => {
+                assert!(results.iter().all(|r| *r == ArrivalResult::Consistent))
+            }
+            TryBatch::Pending(_) => panic!("the peer deposit resolves the batch"),
+        }
+        table.poll_batch(token).expect("resolved");
+        // Held until every variant has consumed.
+        for arrival in &batch {
+            table.consume(arrival.key, 0);
+        }
+        assert_eq!(monitor.live_deferred(), 3);
+        for arrival in &batch {
+            table.consume(arrival.key, 1);
+        }
+        assert_eq!(monitor.live_deferred(), 0);
+        assert_eq!(monitor.live_slots(), 1, "the plain slot is still live");
     }
 
     #[test]
@@ -1975,7 +1887,7 @@ mod tests {
         // master never publishes must be reported as the diverging party,
         // with the missing publisher named and the real arrival set.
         let (monitor, _) = make_monitor(2, MonitoringPolicy::StrictLockstep);
-        let r = monitor.syscall(1, 0, &SyscallRequest::new(Sysno::Recv).with_fd(3));
+        let r = port(&monitor, 1, 0).syscall(&SyscallRequest::new(Sysno::Recv).with_fd(3));
         assert!(r.is_err());
         let report = monitor
             .divergence()
@@ -2004,7 +1916,7 @@ mod tests {
         // ordered (timestamp-published), so a slave issuing one the master
         // never issued times out waiting for the publication.
         let (monitor, _) = make_monitor(2, MonitoringPolicy::NoComparison);
-        let r = monitor.syscall(1, 0, &SyscallRequest::new(Sysno::Brk).with_int(0));
+        let r = port(&monitor, 1, 0).syscall(&brk_req());
         assert!(r.is_err());
         let report = monitor
             .divergence()
@@ -2017,37 +1929,39 @@ mod tests {
     }
 
     #[test]
-    fn mid_batch_divergence_on_the_legacy_path_releases_each_waiter_once() {
+    fn mid_batch_divergence_releases_each_waiter_once() {
         // Pin: when divergence lands while other threads stream deferrable
-        // calls through the legacy index-addressed path, the poison sweep
-        // must release every rendezvous waiter exactly once.  A
-        // double-release underflows `Slot::waiters` (a debug-assert panic
-        // that would surface in the `join` below) and a missed release
-        // leaks the slot (`live_deferred` stays nonzero).
+        // calls, the poison sweep must release every rendezvous waiter
+        // exactly once.  A double-release underflows `Slot::waiters` (a
+        // debug-assert panic that would surface in the `join` below).
         let (monitor, _) = make_monitor_config(2, MonitoringPolicy::StrictLockstep, 2, 4);
         let mut streams = Vec::new();
         for variant in 0..2 {
-            let m = Arc::clone(&monitor);
+            let p = port(&monitor, variant, 0);
             streams.push(std::thread::spawn(move || {
                 // Stream until the divergence shuts the MVEE down (bounded
                 // so a missed shutdown fails the test instead of hanging).
                 for _ in 0..2_000_000 {
-                    if m.syscall(variant, 0, &SyscallRequest::new(Sysno::Brk).with_int(0))
-                        .is_err()
-                    {
+                    if p.syscall(&brk_req()).is_err() {
                         break;
                     }
                 }
+                // The shutdown is absorbing: the next call answers ShutDown
+                // and drops the port's deferred queue instead of leaking it.
+                assert_eq!(p.syscall(&brk_req()), Err(MonitorError::ShutDown));
+                assert_eq!(
+                    p.pending_comparisons(),
+                    0,
+                    "post-divergence deferred queues must be dropped, not leaked"
+                );
             }));
         }
         // Mid-stream, thread 1 diverges: mismatched calls at its first slot.
-        let m = Arc::clone(&monitor);
+        let slave = port(&monitor, 1, 1);
         let slave = std::thread::spawn(move || {
-            m.syscall(1, 1, &SyscallRequest::new(Sysno::Mprotect).with_int(4096))
+            slave.syscall(&SyscallRequest::new(Sysno::Mprotect).with_int(4096))
         });
-        let master = monitor.syscall(
-            0,
-            1,
+        let master = port(&monitor, 0, 1).syscall(
             &SyscallRequest::new(Sysno::Write)
                 .with_fd(1)
                 .with_payload(b"x"),
@@ -2062,16 +1976,6 @@ mod tests {
                 .expect("stream thread must not panic (no waiter double-release)");
         }
         assert!(monitor.has_diverged());
-        assert_eq!(
-            monitor.live_deferred(),
-            0,
-            "post-divergence deferred queues must be dropped, not leaked"
-        );
-        // And the shutdown is absorbing: later calls answer ShutDown without
-        // re-queueing comparisons.
-        let r = monitor.syscall(0, 0, &SyscallRequest::new(Sysno::Brk).with_int(0));
-        assert_eq!(r, Err(MonitorError::ShutDown));
-        assert_eq!(monitor.live_deferred(), 0);
     }
 
     #[test]

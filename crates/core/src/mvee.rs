@@ -12,9 +12,8 @@ use std::time::Duration;
 
 use mvee_kernel::kernel::Kernel;
 use mvee_kernel::process::Pid;
-use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest};
 use mvee_sync_agent::agents::{build_agent, AgentKind};
-use mvee_sync_agent::context::{AgentConfig, SyncContext, VariantRole};
+use mvee_sync_agent::context::{AgentConfig, VariantRole};
 use mvee_sync_agent::{AgentStats, SyncAgent};
 
 use crate::async_port::AsyncThreadPort;
@@ -322,66 +321,52 @@ impl MveeBuilder {
                 }
             }
         });
-        // With batched comparisons on, the agent's replication points become
-        // flush points: a sync op must not record or replay while the
-        // calling thread still has unresolved comparisons queued, and a
-        // poisoned agent abandons whatever is left.  The hook holds the
-        // monitor weakly — the monitor already holds the agent through the
-        // poison hook, and a strong reference back would leak the pair.
+        // The agent's replication points are the one choke point every
+        // transport — blocking ports, poller pools, the remote leader —
+        // funnels its sync ops through, so the journal's sync-op records and
+        // the snapshot capture boundary are identical no matter how the
+        // variant's calls reach the monitor.  Every port has flushed its
+        // deferred comparisons before it enters the agent, so the hook
+        // never waits on a rendezvous.  It holds the monitor weakly — the
+        // monitor already holds the agent through the poison hook, and a
+        // strong reference back would leak the pair.
         let journal_recorder = self.config.journal.recorder().cloned();
-        // Snapshots are taken from inside the same hook, right after the
-        // flush: the replication point is the one choke point every
-        // transport — blocking ports, poller pools, the
-        // remote leader — funnels through, so the capture boundary is
-        // identical no matter how the variant's calls reach the monitor.
         let snapshots = self
             .config
             .snapshot_every
             .map(|every| Arc::new(SnapshotStore::new(self.variants, every)));
-        if self.config.batch > 1 || journal_recorder.is_some() || snapshots.is_some() {
+        if journal_recorder.is_some() || snapshots.is_some() {
             let weak_monitor = Arc::downgrade(&monitor);
             let hook_kernel = Arc::clone(&kernel);
             let hook_snapshots = snapshots.clone();
             let hook_pids = pids.clone();
-            agent.set_replication_hook(Arc::new(move |event| {
+            agent.set_replication_hook(Arc::new(move |ctx| {
+                let variant = ctx.role.variant_index();
+                if let Some(recorder) = &journal_recorder {
+                    recorder.record_sync_op(variant, ctx.thread);
+                }
+                let Some(store) = &hook_snapshots else {
+                    return;
+                };
+                let Some(sync_ops) = store.tick(variant) else {
+                    return;
+                };
                 let Some(monitor) = weak_monitor.upgrade() else {
                     return;
                 };
-                match event {
-                    mvee_sync_agent::ReplicationEvent::SyncOp(ctx) => {
-                        let variant = ctx.role.variant_index();
-                        if let Some(recorder) = &journal_recorder {
-                            recorder.record_sync_op(variant, ctx.thread);
-                        }
-                        // A flush failure has already recorded the
-                        // divergence and poisoned table + agent; the thread
-                        // learns about it at its next monitored call.
-                        let _ = monitor.flush_deferred(variant, ctx.thread);
-                        let Some(store) = &hook_snapshots else {
-                            return;
-                        };
-                        let Some(sync_ops) = store.tick(variant) else {
-                            return;
-                        };
-                        // A dead lane's state is exactly what a respawn
-                        // must NOT roll forward to; keep its last good
-                        // snapshot instead.
-                        if monitor.is_quarantined(variant) || monitor.has_diverged() {
-                            return;
-                        }
-                        if let Some(image) = hook_kernel.capture_process(hook_pids[variant]) {
-                            store.install(SnapshotRecord {
-                                variant,
-                                sync_ops,
-                                journal_records: journal_recorder
-                                    .as_ref()
-                                    .map_or(0, |rec| rec.records()),
-                                clock_ns: hook_kernel.clock().now_nanos(),
-                                image,
-                            });
-                        }
-                    }
-                    mvee_sync_agent::ReplicationEvent::Poisoned => monitor.abandon_deferred(),
+                // A dead lane's state is exactly what a respawn must NOT
+                // roll forward to; keep its last good snapshot instead.
+                if monitor.is_quarantined(variant) || monitor.has_diverged() {
+                    return;
+                }
+                if let Some(image) = hook_kernel.capture_process(hook_pids[variant]) {
+                    store.install(SnapshotRecord {
+                        variant,
+                        sync_ops,
+                        journal_records: journal_recorder.as_ref().map_or(0, |rec| rec.records()),
+                        clock_ns: hook_kernel.clock().now_nanos(),
+                        image,
+                    });
                 }
             }));
         }
@@ -689,9 +674,13 @@ impl Mvee {
     ///    across the full quorum again.
     ///
     /// The caller must guarantee a quiescent batch boundary: no survivor
-    /// call in flight (the equivalence and fault suites join their worker
-    /// threads first).  Respawning is only meaningful while the run is
-    /// still serving — a fully diverged (poisoned) run cannot be rejoined.
+    /// call in flight and no live port (the equivalence and fault suites
+    /// join their worker threads and drop their ports first).  The port
+    /// condition is checked: while any port is held, the variant frontier
+    /// the re-admission reads is stale, so respawn refuses with
+    /// [`RespawnError::PortsLive`] and changes nothing.  Respawning is only
+    /// meaningful while the run is still serving — a fully diverged
+    /// (poisoned) run cannot be rejoined.
     pub fn respawn_variant(&self, variant: usize) -> Result<RespawnReport, RespawnError> {
         assert!(variant < self.variants, "unknown variant index");
         if self.monitor.has_diverged() {
@@ -699,6 +688,9 @@ impl Mvee {
         }
         if !self.monitor.is_quarantined(variant) {
             return Err(RespawnError::NotQuarantined);
+        }
+        if let Some((variant, thread)) = self.monitor.live_port() {
+            return Err(RespawnError::PortsLive { variant, thread });
         }
         let snapshot = self.latest_snapshot(variant);
         if let Some(snapshot) = &snapshot {
@@ -752,6 +744,14 @@ pub enum RespawnError {
     NotQuarantined,
     /// The whole run has diverged (poisoned); there is no quorum to rejoin.
     Diverged,
+    /// A port still owns (variant, thread): the boundary is not quiescent,
+    /// so the survivors' frontier cannot be read.  Drop every port first.
+    PortsLive {
+        /// The port's variant.
+        variant: usize,
+        /// The port's logical thread.
+        thread: usize,
+    },
     /// The recorded journal's header was unreadable, so nothing could be
     /// salvaged.
     Journal(JournalError),
@@ -765,6 +765,9 @@ impl std::fmt::Display for RespawnError {
         match self {
             RespawnError::NotQuarantined => write!(f, "variant is not quarantined"),
             RespawnError::Diverged => write!(f, "the run has fully diverged"),
+            RespawnError::PortsLive { variant, thread } => {
+                write!(f, "a live port owns (variant {variant}, thread {thread})")
+            }
             RespawnError::Journal(e) => write!(f, "journal unrecoverable: {e}"),
             RespawnError::Replay(e) => write!(f, "journal does not replay: {e}"),
         }
@@ -773,7 +776,9 @@ impl std::fmt::Display for RespawnError {
 
 impl std::error::Error for RespawnError {}
 
-/// A per-variant handle: the system-call gateway plus the sync-agent hooks.
+/// A per-variant handle: the factory for the variant's per-thread ports
+/// ([`thread`](Self::thread), [`async_thread`](Self::async_thread),
+/// [`leader_thread`](Self::leader_thread)).
 #[derive(Clone)]
 pub struct VariantGateway {
     variant: usize,
@@ -883,37 +888,6 @@ impl VariantGateway {
         leader.port(thread)
     }
 
-    /// Builds the sync context for logical thread `thread`.
-    pub fn sync_context(&self, thread: usize) -> SyncContext {
-        SyncContext::new(self.role(), thread)
-    }
-
-    /// Issues a system call on behalf of `thread` through the legacy
-    /// index-addressed path.
-    ///
-    /// Prefer acquiring a [`ThreadPort`] with [`thread`](Self::thread) and
-    /// calling [`ThreadPort::syscall`](crate::port::ThreadPort::syscall):
-    /// this method pays the per-call re-resolution cost the port design
-    /// removes.  It remains public for the port/index equivalence harness
-    /// and ablation benchmarks; do not mix it with a live port for the same
-    /// (variant, thread).
-    pub fn syscall(
-        &self,
-        thread: usize,
-        req: &SyscallRequest,
-    ) -> Result<SyscallOutcome, MonitorError> {
-        self.monitor.syscall(self.variant, thread, req)
-    }
-
-    /// Brackets a sync op: `before_sync_op`, the closure, `after_sync_op`.
-    pub fn sync_op<T>(&self, thread: usize, addr: u64, op: impl FnOnce() -> T) -> T {
-        let ctx = self.sync_context(thread);
-        self.agent.before_sync_op(&ctx, addr);
-        let result = op();
-        self.agent.after_sync_op(&ctx, addr);
-        result
-    }
-
     /// Direct access to the injected agent.
     pub fn agent(&self) -> &Arc<dyn SyncAgent> {
         &self.agent
@@ -935,7 +909,7 @@ impl VariantGateway {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvee_kernel::syscall::Sysno;
+    use mvee_kernel::syscall::{SyscallRequest, Sysno};
 
     #[test]
     fn builder_wires_variants_and_agent() {
@@ -985,58 +959,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_op_flushes_deferred_comparisons() {
-        // Each variant defers two brk comparisons (batch 8, never full);
-        // reaching the agent's replication point must flush them.
-        let mvee = Mvee::builder()
-            .variants(2)
-            .batch(8)
-            .manual_clock(true)
-            .build();
-        let mut handles = Vec::new();
-        for v in 0..2 {
-            let gw = mvee.gateway(v);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..2 {
-                    gw.syscall(0, &SyscallRequest::new(Sysno::Brk).with_int(0))
-                        .unwrap();
-                }
-                gw.sync_op(0, 0x1000, || ());
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = mvee.monitor_stats();
-        assert_eq!(stats.batched_comparisons, 4);
-        assert_eq!(
-            stats.batch_flushes, 2,
-            "one flush per variant at the sync op"
-        );
-        assert_eq!(mvee.monitor().live_deferred(), 0);
-        assert!(!mvee.monitor().has_diverged());
-    }
-
-    #[test]
-    fn agent_poison_abandons_deferred_comparisons() {
-        let mvee = Mvee::builder()
-            .variants(2)
-            .batch(8)
-            .manual_clock(true)
-            .build();
-        mvee.gateway(0)
-            .syscall(0, &SyscallRequest::new(Sysno::Brk).with_int(0))
-            .unwrap();
-        assert_eq!(mvee.monitor().live_deferred(), 1);
-        mvee.agent().poison();
-        assert_eq!(
-            mvee.monitor().live_deferred(),
-            0,
-            "poisoning the agent must drop pending batches"
-        );
-    }
-
-    #[test]
     fn gateways_report_roles() {
         let mvee = Mvee::builder().variants(2).manual_clock(true).build();
         assert!(mvee.gateway(0).is_master());
@@ -1045,19 +967,9 @@ mod tests {
     }
 
     #[test]
-    fn gateway_syscall_reaches_the_monitor() {
-        let mvee = Mvee::builder().variants(1).manual_clock(true).build();
-        let gw = mvee.gateway(0);
-        let out = gw.syscall(0, &SyscallRequest::new(Sysno::Getpid)).unwrap();
-        assert!(out.is_ok());
-        assert_eq!(mvee.monitor_stats().total_syscalls, 1);
-    }
-
-    #[test]
-    fn gateway_sync_op_records_in_master() {
+    fn port_sync_op_records_in_master() {
         let mvee = Mvee::builder().variants(2).manual_clock(true).build();
-        let gw = mvee.gateway(0);
-        let v = gw.sync_op(0, 0x1000, || 7);
+        let v = mvee.thread_port(0, 0).sync_op(0x1000, || 7);
         assert_eq!(v, 7);
         assert_eq!(mvee.agent_stats().ops_recorded, 1);
     }
@@ -1073,8 +985,8 @@ mod tests {
         // Only variant 0 arrives at a locksteped call: rendezvous timeout,
         // divergence, and the poison hook must reach the agent.
         let r = mvee
-            .gateway(0)
-            .syscall(0, &SyscallRequest::new(Sysno::Write).with_payload(b"x"));
+            .thread_port(0, 0)
+            .syscall(&SyscallRequest::new(Sysno::Write).with_payload(b"x"));
         assert!(r.is_err());
         assert!(mvee.divergence().is_some());
         assert!(mvee.agent().is_poisoned());
@@ -1099,12 +1011,12 @@ mod tests {
             .manual_clock(true)
             .build();
         let b0 = mvee
-            .gateway(0)
-            .syscall(0, &SyscallRequest::new(Sysno::Brk).with_int(0))
+            .thread_port(0, 0)
+            .syscall(&SyscallRequest::new(Sysno::Brk).with_int(0))
             .unwrap();
         let b1 = mvee
-            .gateway(1)
-            .syscall(0, &SyscallRequest::new(Sysno::Brk).with_int(0))
+            .thread_port(1, 0)
+            .syscall(&SyscallRequest::new(Sysno::Brk).with_int(0))
             .unwrap();
         assert_ne!(b0.result, b1.result);
     }

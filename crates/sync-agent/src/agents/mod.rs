@@ -60,10 +60,8 @@ impl AgentKind {
 ///
 /// Installed once by the MVEE front end, fired lock-free afterwards (an
 /// uninstalled cell is a single atomic load on the sync-op hot path).  Every
-/// agent embeds one and fires it at the top of `before_sync_op` — before any
-/// guard is taken, so a blocking hook (a comparison flush is a rendezvous)
-/// can never deadlock against the agent's own ordering guards — and from
-/// `poison`.
+/// agent embeds one and fires it at the top of `before_sync_op`, before any
+/// guard is taken.
 pub(crate) struct HookCell(std::sync::OnceLock<crate::ReplicationHook>);
 
 impl HookCell {
@@ -79,7 +77,7 @@ impl HookCell {
     /// Fires the replication-point event for `ctx`'s thread and counts it
     /// in `stats` ([`AgentStats::replication_points`]) — an uninstalled cell
     /// counts nothing, so the counter reads zero unless a front end actually
-    /// consumes replication points (deferred flushes, journal recording).
+    /// consumes replication points (journal recording, snapshots).
     ///
     /// [`AgentStats::replication_points`]: crate::stats::AgentStats::replication_points
     #[inline]
@@ -90,14 +88,7 @@ impl HookCell {
     ) {
         if let Some(hook) = self.0.get() {
             stats.count_replication_point(ctx.thread);
-            hook(crate::ReplicationEvent::SyncOp(ctx));
-        }
-    }
-
-    /// Fires the poison event.
-    pub(crate) fn poisoned(&self) {
-        if let Some(hook) = self.0.get() {
-            hook(crate::ReplicationEvent::Poisoned);
+            hook(ctx);
         }
     }
 }

@@ -303,7 +303,7 @@ impl SyncAgent for PartialOrderAgent {
     }
 
     fn before_sync_op(&self, ctx: &SyncContext, addr: u64) {
-        // Replication point: flush deferred work before any guard is taken.
+        // Replication point: fire the hook before any guard is taken.
         self.hook.sync_op(ctx, &self.stats);
         match ctx.role {
             VariantRole::Master => self.master_before(ctx, addr),
@@ -333,7 +333,6 @@ impl SyncAgent for PartialOrderAgent {
         // Unpark masters waiting on buffer space and slaves parked in the
         // look-ahead wait.
         self.ring.events().notify_all();
-        self.hook.poisoned();
     }
 
     fn is_poisoned(&self) -> bool {

@@ -119,7 +119,7 @@ impl SyncAgent for TotalOrderAgent {
     }
 
     fn before_sync_op(&self, ctx: &SyncContext, addr: u64) {
-        // Replication point: flush deferred work before any guard is taken.
+        // Replication point: fire the hook before any guard is taken.
         self.hook.sync_op(ctx, &self.stats);
         match ctx.role {
             VariantRole::Master => self.master_before(ctx, addr),
@@ -149,7 +149,6 @@ impl SyncAgent for TotalOrderAgent {
         // Unpark masters waiting on buffer space and slaves waiting for
         // their turn at the head.
         self.ring.events().notify_all();
-        self.hook.poisoned();
     }
 
     fn is_poisoned(&self) -> bool {

@@ -188,7 +188,7 @@ impl SyncAgent for WallOfClocksAgent {
     }
 
     fn before_sync_op(&self, ctx: &SyncContext, addr: u64) {
-        // Replication point: flush deferred work before any guard is taken.
+        // Replication point: fire the hook before any guard is taken.
         self.hook.sync_op(ctx, &self.stats);
         match ctx.role {
             VariantRole::Master => self.master_before(ctx, addr),
@@ -224,7 +224,6 @@ impl SyncAgent for WallOfClocksAgent {
         for wall in &self.slave_walls {
             wall.events().notify_all();
         }
-        self.hook.poisoned();
     }
 
     fn is_poisoned(&self) -> bool {

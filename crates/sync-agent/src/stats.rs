@@ -60,7 +60,7 @@ pub struct AgentStats {
     /// logical clock (wall-of-clocks only): false serialization.
     pub clock_collisions: u64,
     /// Replication points reached: sync ops at which the replication hook
-    /// (deferred-comparison flushes, divergence-journal emissions) was
+    /// (divergence-journal emissions, state snapshots) was
     /// consulted.  Counted once per hook invocation regardless of role.
     #[serde(default)]
     pub replication_points: u64,

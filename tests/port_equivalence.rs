@@ -1,14 +1,15 @@
-//! Property tests: the [`ThreadPort`] gateway path is observably equivalent
-//! to the legacy index-addressed `VariantGateway::syscall` path.
+//! Property tests: the [`ThreadPort`] gateway is observably equivalent
+//! under every [`Placement`] policy.
 //!
-//! For randomized per-thread call plans, batch sizes ∈ {1, 8} and all three
-//! [`Placement`] policies, a run that drives every (variant, thread) through
-//! its own `ThreadPort` must produce exactly the same observable behaviour
-//! as a run that issues the same calls through the legacy
-//! `gateway.syscall(thread, req)` convention: the same per-call outcomes,
-//! the same clean/diverged verdict, the same first-mismatch slot and blamed
-//! variant, and the same monitor statistics — even though real OS threads
-//! race through the monitor in both runs.
+//! The reference run — the *index* path of the test names — drives every
+//! (variant, thread) through its own `ThreadPort` under
+//! [`Placement::RoundRobin`], the `thread % shards` binding derived from the
+//! thread index alone.  For randomized per-thread call plans, batch sizes
+//! ∈ {1, 8} and all three placement policies, a port run must produce
+//! exactly the reference's observable behaviour: the same per-call
+//! outcomes, the same clean/diverged verdict, the same first-mismatch slot
+//! and blamed variant, and the same monitor statistics — even though real
+//! OS threads race through the monitor in both runs.
 //!
 //! The deterministic companions pin the divergence-report equivalence for an
 //! injected mid-batch mismatch and for a rendezvous timeout.
@@ -24,13 +25,17 @@ use mvee::core::DivergenceReport;
 use mvee::kernel::syscall::{SyscallRequest, Sysno};
 use mvee::sync_agent::agents::AgentKind;
 
-/// The two gateway paths under comparison.
-#[derive(Clone, Copy, PartialEq)]
-enum Path {
-    /// Legacy: `gateway.syscall(thread, req)` on every call.
-    Index,
-    /// Redesigned: one `ThreadPort` per (variant, thread).
-    Port,
+/// The reference placement every other policy must match.
+const REFERENCE: Placement = Placement::RoundRobin;
+
+/// The placement policies under test; the pinned core map binds threads 0
+/// and 1 off their round-robin shards.
+fn placements() -> [Placement; 3] {
+    [
+        Placement::RoundRobin,
+        Placement::Grouped,
+        Placement::pinned(vec![1, 2, 0]),
+    ]
 }
 
 /// The call an op tag stands for.  All tags are benign (identical across
@@ -62,11 +67,10 @@ fn build_mvee(variants: usize, threads: usize, batch: usize, placement: &Placeme
 }
 
 /// Runs `plan` (one op-tag vector per logical thread, identical in every
-/// variant) through a fresh MVEE on real OS threads, via the chosen path.
-/// Returns the per-(variant, thread) success counts, the monitor stats and
-/// the divergence report, if any.
+/// variant) through a fresh MVEE on real OS threads, one port per
+/// (variant, thread).  Returns the per-(variant, thread) success counts,
+/// the monitor stats and the divergence report, if any.
 fn run_plan(
-    path: Path,
     variants: usize,
     batch: usize,
     placement: &Placement,
@@ -77,32 +81,13 @@ fn run_plan(
     let mut handles = Vec::new();
     for variant in 0..variants {
         for thread in 0..plan.len() {
-            let mvee = Arc::clone(&mvee);
+            let port = mvee.thread_port(variant, thread);
             let plan = Arc::clone(&plan);
             handles.push(std::thread::spawn(move || {
-                let mut ok = 0u64;
-                match path {
-                    Path::Index => {
-                        let gateway = mvee.gateway(variant);
-                        for &tag in &plan[thread] {
-                            if gateway.syscall(thread, &req_for(tag)).is_ok() {
-                                ok += 1;
-                            }
-                        }
-                        // The port path flushes trailing deferred
-                        // comparisons when the port drops; mirror that
-                        // end-of-plan flush so the stats stay comparable.
-                        let _ = mvee.monitor().flush_deferred(variant, thread);
-                    }
-                    Path::Port => {
-                        let port = mvee.thread_port(variant, thread);
-                        for &tag in &plan[thread] {
-                            if port.syscall(&req_for(tag)).is_ok() {
-                                ok += 1;
-                            }
-                        }
-                    }
-                }
+                let ok = plan[thread]
+                    .iter()
+                    .filter(|&&tag| port.syscall(&req_for(tag)).is_ok())
+                    .count() as u64;
                 ((variant, thread), ok)
             }));
         }
@@ -117,9 +102,9 @@ fn run_plan(
 }
 
 proptest! {
-    /// Clean plans: both paths succeed on every call and agree on every
-    /// monitor counter, with the batch size (∈ {1, 8}) and placement policy
-    /// part of the generated case.
+    /// Clean plans: every placement succeeds on every call and agrees with
+    /// the round-robin reference on every monitor counter, with the batch
+    /// size (∈ {1, 8}) and placement policy part of the generated case.
     #[test]
     fn port_path_matches_index_path_on_clean_plans(
         plan in proptest::collection::vec(proptest::collection::vec(0u8..5, 1..10), 1..3),
@@ -128,16 +113,10 @@ proptest! {
         placement_sel in 0usize..3,
     ) {
         let batch = [1usize, 8][batch_sel];
-        let placement = [
-            Placement::RoundRobin,
-            Placement::Grouped,
-            Placement::pinned(vec![0, 2, 1]),
-        ][placement_sel].clone();
-        let (index_ok, index_stats, index_div) =
-            run_plan(Path::Index, variants, batch, &placement, &plan);
-        let (port_ok, port_stats, port_div) =
-            run_plan(Path::Port, variants, batch, &placement, &plan);
-        prop_assert!(index_div.is_none(), "index path diverged: {index_div:?}");
+        let placement = placements()[placement_sel].clone();
+        let (index_ok, index_stats, index_div) = run_plan(variants, batch, &REFERENCE, &plan);
+        let (port_ok, port_stats, port_div) = run_plan(variants, batch, &placement, &plan);
+        prop_assert!(index_div.is_none(), "reference run diverged: {index_div:?}");
         prop_assert!(port_div.is_none(), "port path diverged: {port_div:?}");
         prop_assert_eq!(&index_ok, &port_ok,
             "per-thread outcomes differ (batch={}, {})", batch, placement.name());
@@ -148,7 +127,8 @@ proptest! {
 
 /// The injected-mismatch scenario: one thread, two variants, a mid-batch
 /// divergent mprotect followed by a synchronous write that forces the flush.
-/// Both paths must blame exactly the same (thread, sequence, variant).
+/// Every placement must blame exactly the reference's (thread, sequence,
+/// variant).
 #[test]
 fn port_and_index_paths_report_identical_mismatch_verdicts() {
     let mprotect = |len: i64| SyscallRequest::new(Sysno::Mprotect).with_int(len);
@@ -157,59 +137,32 @@ fn port_and_index_paths_report_identical_mismatch_verdicts() {
             .with_fd(1)
             .with_payload(b"flush")
     };
-    for batch in [1usize, 8] {
-        for placement in [
-            Placement::RoundRobin,
-            Placement::Grouped,
-            Placement::pinned(vec![1]),
-        ] {
-            let mut reports = Vec::new();
-            for path in [Path::Index, Path::Port] {
-                let mvee = Arc::new(build_mvee(2, 1, batch, &placement));
-                let m = Arc::clone(&mvee);
-                let slave = std::thread::spawn(move || match path {
-                    Path::Index => {
-                        let gw = m.gateway(1);
-                        for len in [4096i64, 666, 4096] {
-                            gw.syscall(0, &mprotect(len))?;
-                        }
-                        gw.syscall(0, &write())
-                    }
-                    Path::Port => {
-                        let port = m.thread_port(1, 0);
-                        for len in [4096i64, 666, 4096] {
-                            port.syscall(&mprotect(len))?;
-                        }
-                        port.syscall(&write())
-                    }
-                });
-                let master = {
-                    let run = |issue: &dyn Fn(
-                        &SyscallRequest,
-                    )
-                        -> Result<(), mvee::core::MonitorError>| {
-                        for _ in 0..3 {
-                            issue(&mprotect(4096))?;
-                        }
-                        issue(&write())
-                    };
-                    match path {
-                        Path::Index => {
-                            let gw = mvee.gateway(0);
-                            run(&|req| gw.syscall(0, req).map(|_| ()))
-                        }
-                        Path::Port => {
-                            let port = mvee.thread_port(0, 0);
-                            run(&|req| port.syscall(req).map(|_| ()))
-                        }
-                    }
-                };
-                let slave = slave.join().unwrap();
-                assert!(master.is_err() || slave.is_err());
-                let report = mvee.divergence().expect("divergence report");
-                reports.push(report);
+    let run = |batch: usize, placement: &Placement| {
+        let mvee = build_mvee(2, 1, batch, placement);
+        let slave = mvee.thread_port(1, 0);
+        let slave = std::thread::spawn(move || {
+            for len in [4096i64, 666, 4096] {
+                slave.syscall(&mprotect(len))?;
             }
-            let (index, port) = (&reports[0], &reports[1]);
+            slave.syscall(&write())
+        });
+        let master = mvee.thread_port(0, 0);
+        let master = (|| {
+            for _ in 0..3 {
+                master.syscall(&mprotect(4096))?;
+            }
+            master.syscall(&write())
+        })();
+        let slave = slave.join().unwrap();
+        assert!(master.is_err() || slave.is_err());
+        mvee.divergence().expect("divergence report")
+    };
+    for batch in [1usize, 8] {
+        let index = run(batch, &REFERENCE);
+        assert_eq!(index.sequence, 1, "must blame the exact mid-batch slot");
+        assert_eq!(index.variant, 1);
+        for placement in placements() {
+            let port = run(batch, &placement);
             assert_eq!(
                 index.sequence,
                 port.sequence,
@@ -223,41 +176,42 @@ fn port_and_index_paths_report_identical_mismatch_verdicts() {
                 std::mem::discriminant(&port.kind),
                 "divergence kind differs"
             );
-            assert_eq!(index.sequence, 1, "must blame the exact mid-batch slot");
-            assert_eq!(index.variant, 1);
         }
     }
 }
 
 /// The rendezvous-timeout scenario: only the master arrives at a compared
-/// call.  Both paths must report the same timeout verdict.
+/// call.  Every placement must report the reference's timeout verdict and
+/// counters, field for field.
 #[test]
 fn port_and_index_paths_report_identical_timeout_verdicts() {
     let open = SyscallRequest::new(Sysno::Open).with_path("/missing");
-    let mut reports = Vec::new();
-    for path in [Path::Index, Path::Port] {
+    let run = |placement: &Placement| {
         let mvee = Mvee::builder()
             .variants(2)
             .threads(1)
             .agent(AgentKind::Null)
+            .placement(placement.clone())
             .lockstep_timeout(std::time::Duration::from_millis(150))
             .manual_clock(true)
             .build();
-        let result = match path {
-            Path::Index => mvee.gateway(0).syscall(0, &open),
-            Path::Port => mvee.thread_port(0, 0).syscall(&open),
-        };
-        assert!(result.is_err());
-        reports.push(mvee.divergence().expect("divergence report"));
+        assert!(mvee.thread_port(0, 0).syscall(&open).is_err());
+        (
+            mvee.divergence().expect("divergence report"),
+            mvee.monitor_stats(),
+        )
+    };
+    let (index, index_stats) = run(&REFERENCE);
+    for placement in placements() {
+        let (port, port_stats) = run(&placement);
+        assert_eq!(index, port, "{}: timeout verdict differs", placement.name());
+        assert_eq!(
+            index_stats,
+            port_stats,
+            "{}: stats differ",
+            placement.name()
+        );
     }
-    let (index, port) = (&reports[0], &reports[1]);
-    assert_eq!(index.sequence, port.sequence);
-    assert_eq!(index.thread, port.thread);
-    assert_eq!(index.variant, port.variant);
-    assert_eq!(
-        std::mem::discriminant(&index.kind),
-        std::mem::discriminant(&port.kind)
-    );
 }
 
 /// The `Send` half of the port's threading contract, checked at compile

@@ -19,7 +19,8 @@
 //! * *respawn* — a quarantined variant restores from its last agreed
 //!   snapshot, replays the journal suffix, rejoins at a quiescent batch
 //!   boundary, and subsequent calls compare across the full quorum again
-//!   (proven by making the respawned variant diverge a second time);
+//!   (proven by making the respawned variant diverge a second time); a
+//!   boundary where survivor ports are still held is refused;
 //! * *quorum floor* — with only `min_quorum` live variants, the next
 //!   divergence poisons the run instead of quarantining below the floor.
 
@@ -31,9 +32,10 @@ use proptest::prelude::*;
 use mvee::core::config::{RecoveryPolicy, Transport};
 use mvee::core::journal::{JournalMode, JournalRecorder};
 use mvee::core::monitor::MonitorError;
-use mvee::core::mvee::Mvee;
+use mvee::core::mvee::{Mvee, RespawnError};
 use mvee::kernel::syscall::{SyscallOutcome, SyscallRequest, Sysno};
 use mvee::sync_agent::agents::AgentKind;
+use mvee::variant::port::{SyscallPort, ThreadSyscallPort};
 
 /// The two transports under comparison: blocking ports and async rings
 /// drained by a fixed poller pool.
@@ -394,6 +396,98 @@ fn respawned_variant_rejoins_and_compares_across_the_full_quorum() {
         assert_eq!(mvee.monitor_stats().quarantines, 2);
         assert_eq!(mvee.divergence(), None);
         assert_eq!(mvee.monitor().live_slots(), 0);
+    }
+}
+
+/// Respawn reads the survivors' frontier from the monitor's per-thread
+/// sequence counters, which a live port only hands back when it drops.
+/// While the survivors still hold their (idle) ports, respawn must refuse
+/// with `PortsLive` and change nothing; once the ports are dropped it
+/// succeeds, and the full quorum's next round compares cleanly instead of
+/// timing out on a respawned variant parked at a stale sequence number.
+#[test]
+fn respawn_refuses_while_survivor_ports_are_live() {
+    let write = |payload: &'static [u8]| {
+        SyscallRequest::new(Sysno::Write)
+            .with_fd(1)
+            .with_payload(payload)
+    };
+    for path in [Path::Sync, Path::Pool(1)] {
+        let label = path_label(path);
+        let mvee = Mvee::builder()
+            .variants(3)
+            .threads(1)
+            .agent(AgentKind::Null)
+            .transport(transport_for(path))
+            .recovery(RecoveryPolicy::Quarantine { min_quorum: 2 })
+            .lockstep_timeout(Duration::from_secs(5))
+            .manual_clock(true)
+            .build();
+        // Runs one call per port, each on its own OS thread, and hands the
+        // ports back with whether each call succeeded.
+        let round = |ports: Vec<Box<dyn ThreadSyscallPort>>, reqs: &[SyscallRequest]| {
+            let handles: Vec<_> = ports
+                .into_iter()
+                .zip(reqs.iter().cloned())
+                .map(|(port, req)| {
+                    std::thread::spawn(move || {
+                        let ok = port.syscall(&req).is_ok();
+                        (port, ok)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("round thread panicked"))
+                .unzip::<_, _, Vec<_>, Vec<_>>()
+        };
+        let acquire = |variant: usize| mvee.gateway(variant).thread_port(0);
+
+        // Variant 2's write mismatches: it is quarantined, the survivors'
+        // calls succeed, and the victim's port is dropped.
+        let (mut ports, oks) = round(
+            (0..3).map(acquire).collect(),
+            &[write(b"ok"), write(b"ok"), write(b"evil")],
+        );
+        assert_eq!(oks, vec![true, true, false], "{label}");
+        assert_eq!(mvee.quarantined_variants(), vec![2], "{label}");
+        drop(ports.pop());
+        // The survivors serve three more calls through the ports they keep.
+        for _ in 0..3 {
+            let (kept, oks) = round(ports, &[write(b"ok"), write(b"ok")]);
+            assert_eq!(oks, vec![true, true], "{label}");
+            ports = kept;
+        }
+
+        // No call in flight, but the survivors' ports are live: refused,
+        // and nothing changes.
+        match mvee.respawn_variant(2) {
+            Err(RespawnError::PortsLive { variant, thread }) => {
+                assert_eq!((variant, thread), (0, 0), "{label}: the first live port");
+            }
+            other => panic!("{label}: respawn with live ports must be refused, got {other:?}"),
+        }
+        assert_eq!(mvee.quarantined_variants(), vec![2], "{label}");
+        assert_eq!(mvee.monitor_stats().respawns, 0, "{label}");
+
+        drop(ports);
+        mvee.respawn_variant(2).expect("respawn must succeed");
+        assert!(mvee.quarantined_variants().is_empty(), "{label}");
+        assert_eq!(mvee.monitor_stats().respawns, 1, "{label}");
+
+        // The full quorum's next round is clean.
+        let (_, oks) = round(
+            (0..3).map(acquire).collect(),
+            &[write(b"ok"), write(b"ok"), write(b"ok")],
+        );
+        assert_eq!(
+            oks,
+            vec![true; 3],
+            "{label}: the rejoined quorum must compare cleanly"
+        );
+        assert!(mvee.quarantined_variants().is_empty(), "{label}");
+        assert_eq!(mvee.monitor_stats().quarantines, 1, "{label}");
+        assert_eq!(mvee.divergence(), None, "{label}");
     }
 }
 
